@@ -17,8 +17,6 @@
 //! repro --bench-flow         # fluid-scheduler benchmark → BENCH_flow.json
 //! repro --bench-establish    # establishment benchmark → BENCH_establish.json
 //! repro --bench-unit         # measurement-unit benchmark → BENCH_unit.json
-//! repro --bench-engine       # typed event-engine benchmark → BENCH_engine.json
-//! repro --bench-stream       # cell-burst coalescing benchmark → BENCH_stream.json
 //! repro --quiet / -v         # errors only / debug diagnostics
 //! repro --list               # list targets
 //! ```
@@ -43,8 +41,6 @@ fn main() {
     let mut bench_flow = false;
     let mut bench_establish = false;
     let mut bench_unit = false;
-    let mut bench_engine = false;
-    let mut bench_stream = false;
     let mut bench_out: Option<String> = None;
     let mut faults = false;
     let mut par = Parallelism::sequential();
@@ -124,14 +120,6 @@ fn main() {
     }
     if let Some(pos) = args.iter().position(|a| a == "--bench-unit") {
         bench_unit = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-engine") {
-        bench_engine = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-stream") {
-        bench_stream = true;
         args.remove(pos);
     }
     if let Some(pos) = args.iter().position(|a| a == "--bench-out") {
@@ -238,26 +226,6 @@ fn main() {
         obs_info!("wrote unit benchmark to {out}");
         return;
     }
-    if bench_engine {
-        let runs = ptperf_bench::enginebench::runs_from_env();
-        obs_info!("engine bench: {runs} run(s) per class");
-        let (results, doc) = ptperf_bench::enginebench::run_engine_bench(runs);
-        println!("{}", ptperf_bench::enginebench::render_table(&results, runs));
-        let out = bench_out.as_deref().unwrap_or("BENCH_engine.json");
-        std::fs::write(out, doc).expect("write engine bench json");
-        obs_info!("wrote engine benchmark to {out}");
-        return;
-    }
-    if bench_stream {
-        let runs = ptperf_bench::streambench::runs_from_env();
-        obs_info!("stream bench: {runs} run(s) per class");
-        let (results, doc) = ptperf_bench::streambench::run_stream_bench(runs);
-        println!("{}", ptperf_bench::streambench::render_table(&results, runs));
-        let out = bench_out.as_deref().unwrap_or("BENCH_stream.json");
-        std::fs::write(out, doc).expect("write stream bench json");
-        obs_info!("wrote stream benchmark to {out}");
-        return;
-    }
 
     let targets: Vec<String> = if args.is_empty() {
         available_targets().iter().map(|s| s.to_string()).collect()
@@ -332,7 +300,6 @@ fn print_help() {
          \x20            [--trace FILE] [--trace-chrome FILE] [--hist FILE]\n\
          \x20            [--metrics FILE] [--profile] [--faults]\n\
          \x20            [--bench-flow] [--bench-establish] [--bench-unit]\n\
-         \x20            [--bench-engine] [--bench-stream]\n\
          \x20            [--bench-out FILE] [--check-bench DIR] [--json-check FILE]\n\
          \x20            [--quiet] [-v|--verbose] [--list] [TARGET ...]\n\n\
          --workers only changes wall-clock time: output is bit-for-bit\n\
@@ -353,7 +320,7 @@ fn print_help() {
          count);\n\
          --metrics writes the wall-clock metrics registry (JSON; per-family\n\
          p50/p95 shard times, worker utilization); --profile prints a\n\
-         per-family table of events, simulated seconds, and throughput.\n\
+         per-family table of measurements, simulated seconds, and throughput.\n\
          --check-bench DIR compares fresh BENCH_*.json files in DIR\n\
          against the committed baselines in the current directory and\n\
          exits non-zero on a p50 regression past the tolerance\n\
@@ -379,20 +346,6 @@ fn print_help() {
          units/s, allocations per warm unit, site-workload-memo savings)\n\
          and writes BENCH_unit.json (path override: --bench-out; runs\n\
          per class: PTPERF_UNITBENCH_RUNS, default 200), then exits.\n\
-         --bench-engine benchmarks the typed slab/timer-wheel event\n\
-         engine against the retained boxed-closure reference engine\n\
-         (cell-stream and timer-mix classes; p50/p95 per run, events/s,\n\
-         allocations per event from a real counting global allocator\n\
-         when built with --features count-alloc) and writes\n\
-         BENCH_engine.json (path override: --bench-out; runs per\n\
-         class: PTPERF_ENGINEBENCH_RUNS, default 200), then exits.\n\
-         --bench-stream benchmarks cell-burst coalescing in the Tor\n\
-         stream model (closed-form window bursts vs the retained\n\
-         per-cell lane; p50/p95 per run, events-per-run reduction,\n\
-         cells/s, allocations per event under --features count-alloc)\n\
-         and writes BENCH_stream.json (path override: --bench-out;\n\
-         runs per class: PTPERF_STREAMBENCH_RUNS, default 200), then\n\
-         exits.\n\
          --quiet shows errors only; -v enables debug diagnostics.\n\
          With no targets, all of them run. Targets:\n  {}",
         available_targets().join(" ")

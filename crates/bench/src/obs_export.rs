@@ -220,17 +220,18 @@ pub fn build_metrics(runs: &[TargetRun], workers: usize, elapsed: Duration) -> M
 }
 
 /// Renders the `--profile` table: per family (first-seen order), shard
-/// and sample counts, recorded event count, simulated seconds, shard
-/// wall-clock milliseconds, simulation throughput in events per
-/// wall-clock second, and the allocator fast-path hit rate (`fast%`:
-/// `maxmin/fast_path` over `maxmin/recomputations` — "-" when the
-/// family never ran the allocator).
+/// and sample counts, measurements recorded (the `events` counter: one
+/// per fetch, page load or download), simulated seconds, shard
+/// wall-clock milliseconds, measurements per wall-clock second, and
+/// the allocator fast-path hit rate (`fast%`: `maxmin/fast_path` over
+/// `maxmin/recomputations` — "-" when the family never ran the
+/// allocator).
 pub fn profile_table(runs: &[TargetRun]) -> String {
     struct Row {
         family: String,
         shards: usize,
         samples: usize,
-        events: u64,
+        measurements: u64,
         sim_ns: u64,
         wall_secs: f64,
         allocs: u64,
@@ -247,7 +248,7 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
                         family: family.to_string(),
                         shards: 0,
                         samples: 0,
-                        events: 0,
+                        measurements: 0,
                         sim_ns: 0,
                         wall_secs: 0.0,
                         allocs: 0,
@@ -258,7 +259,7 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
             };
             row.shards += 1;
             row.samples += report.samples;
-            row.events += report.obs.counter("events").unwrap_or(0);
+            row.measurements += report.obs.counter("events").unwrap_or(0);
             row.sim_ns += report.obs.counter("sim_ns").unwrap_or(0);
             row.wall_secs += report.wall.as_secs_f64();
             row.allocs += report.obs.counter("maxmin/recomputations").unwrap_or(0);
@@ -269,15 +270,15 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         "family",
         "shards",
         "samples",
-        "events",
+        "measurements",
         "sim (s)",
         "wall (ms)",
-        "events/s",
+        "measurements/s",
         "fast%",
     ]);
     for r in &rows {
         let throughput = if r.wall_secs > 0.0 {
-            format!("{:.0}", r.events as f64 / r.wall_secs)
+            format!("{:.0}", r.measurements as f64 / r.wall_secs)
         } else {
             "-".to_string()
         };
@@ -290,7 +291,7 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
             r.family.clone(),
             r.shards.to_string(),
             r.samples.to_string(),
-            r.events.to_string(),
+            r.measurements.to_string(),
             format!("{:.2}", r.sim_ns as f64 / 1e9),
             format!("{:.1}", r.wall_secs * 1e3),
             throughput,
@@ -298,10 +299,10 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         ]);
     }
     let totals = rows.iter().fold((0usize, 0u64, 0u64), |acc, r| {
-        (acc.0 + r.shards, acc.1 + r.events, acc.2 + r.sim_ns)
+        (acc.0 + r.shards, acc.1 + r.measurements, acc.2 + r.sim_ns)
     });
     format!(
-        "Profile — {} shard(s), {} event(s), {:.2} simulated second(s)\n{}",
+        "Profile — {} shard(s), {} measurement(s), {:.2} simulated second(s)\n{}",
         totals.0,
         totals.1,
         totals.2 as f64 / 1e9,
@@ -464,37 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_a_cells_coalesced_counter_track() {
-        // Shards that ran the burst-coalescing stream lane carry the
-        // `stream/*` counters; the export must surface the coalesced
-        // cell count as its own "C" track so the Perfetto view shows
-        // how much per-cell work the closed form absorbed.
-        let mut run = sample_run();
-        run.reports[0].obs.counters.push(("stream/cells_coalesced", 4017));
-        run.reports[0].obs.counters.push(("stream/burst_events", 96));
-        let doc = trace_chrome(&[run]);
-        let v = json::parse(&doc).expect("chrome trace is valid JSON");
-        let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-        let coalesced: Vec<_> = events
-            .iter()
-            .filter(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("stream/cells_coalesced")
-            })
-            .collect();
-        assert_eq!(coalesced.len(), 1, "one coalesced track sample per shard");
-        assert_eq!(
-            coalesced[0]
-                .get("args")
-                .unwrap()
-                .get("value")
-                .and_then(|x| x.as_f64()),
-            Some(4017.0)
-        );
-        assert!(doc.contains("\"stream/burst_events\""));
-    }
-
-    #[test]
     fn chrome_trace_lays_family_shards_consecutively() {
         let mut run = sample_run();
         let mut second = run.reports[0].clone();
@@ -537,6 +507,6 @@ mod tests {
         assert!(text.contains("fig6"), "{text}");
         assert!(text.contains("1.50"), "sim seconds missing: {text}");
         assert!(text.contains("250.0"), "wall ms missing: {text}");
-        assert!(text.contains("events/s"), "{text}");
+        assert!(text.contains("measurements/s"), "{text}");
     }
 }

@@ -35,7 +35,6 @@ pub mod onion;
 pub mod path;
 pub mod relay;
 pub mod socks;
-pub mod stream;
 
 pub use cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_LEN, RELAY_DATA_LEN};
 pub use control::{Command as ControlCommand, Reply as ControlReply, TorController};
@@ -49,4 +48,3 @@ pub use path::{
     SAMPLED_GUARDS,
 };
 pub use relay::{Relay, RelayFlags, RelayId};
-pub use stream::{BurstStats, StreamFaultReport, StreamTransfer, SENDME_INCREMENT};

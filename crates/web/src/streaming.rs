@@ -10,7 +10,7 @@
 //! QoE standards: startup delay, rebuffer count, and rebuffer ratio.
 
 use ptperf_sim::fault::{FaultEvent, FaultKind};
-use ptperf_sim::{Engine, SimDuration, SimEvent, SimRng};
+use ptperf_sim::{SimDuration, SimRng};
 
 use crate::channel::{Channel, Outcome};
 use crate::faults::FaultSession;
@@ -166,186 +166,6 @@ pub fn play(channel: &Channel, media: &MediaStream, rng: &mut SimRng) -> Streami
         startup_delay,
         rebuffer_events,
         rebuffer_time,
-        rebuffer_ratio: ratio,
-        outcome: Outcome::Complete,
-    }
-}
-
-/// Event-driven variant of [`play`]: segment downloads ride typed
-/// [`SimEvent::SegmentTimer`] events on the [`Engine`] instead of a
-/// `wall +=` accumulation, firing when the segments land.
-///
-/// The fetch time is session-constant and the per-segment bookkeeping
-/// never reads the engine clock, so consecutive downloads coalesce: one
-/// timer covers a whole batch of back-to-back segments (its `idx` names
-/// the batch's last segment) and the handler replays the per-segment
-/// arithmetic — prebuffer fill, playout drain, hazard budget, rng draws
-/// — in exact order inside the batch. Batches obey the same invariant
-/// as the cell-burst scheduler in `ptperf-tor`: a batch never
-/// integrates past a pending engine deadline
-/// ([`Engine::next_deadline`]), so co-resident timers split it instead
-/// of being skipped. Foreign [`SimEvent::Tick`] events are ignored;
-/// they only constrain batch length.
-///
-/// The returned session is equal field-for-field — including the f64
-/// `rebuffer_ratio` bits — to the closed form (a tested property).
-/// Exactly one segment timer is pending at a time, so
-/// `Engine::with_capacity(seed, 2)` is always a right-sized hint.
-pub fn play_timed(
-    engine: &mut Engine,
-    channel: &Channel,
-    media: &MediaStream,
-    rng: &mut SimRng,
-) -> StreamingSession {
-    if rng.chance(channel.connect_failure_p) {
-        return StreamingSession {
-            startup_delay: SimDuration::ZERO,
-            rebuffer_events: 0,
-            rebuffer_time: SimDuration::ZERO,
-            rebuffer_ratio: 1.0,
-            outcome: Outcome::Failed,
-        };
-    }
-
-    let seg_bytes = media.segment_bytes();
-    let per_segment_overhead =
-        channel.stream_open + channel.per_request_extra + channel.request_rtt;
-    // The fetch-time expression is pure, so hoisting it out of the
-    // per-segment closure used by `play` is value-preserving.
-    let fetch_time = per_segment_overhead + channel.transfer_time(seg_bytes);
-
-    struct St<'a> {
-        channel: &'a Channel,
-        media: &'a MediaStream,
-        rng: &'a mut SimRng,
-        fetch_time: SimDuration,
-        total_segments: u64,
-        wall: SimDuration,
-        buffered: SimDuration,
-        fetched: u64,
-        playing: bool,
-        startup_delay: SimDuration,
-        rebuffer_events: u32,
-        rebuffer_time: SimDuration,
-        hazard_budget: Option<f64>,
-    }
-
-    /// Leave the prebuffer phase: record startup, arm the hazard clock.
-    fn begin_playback(s: &mut St<'_>) {
-        s.playing = true;
-        s.startup_delay = s.wall;
-        s.hazard_budget = if s.channel.hazard_per_sec > 0.0 {
-            Some(s.rng.exponential(1.0 / s.channel.hazard_per_sec))
-        } else {
-            None
-        };
-    }
-
-    /// Start the next segment-batch download (one pending timer at a
-    /// time): up to every remaining segment coalesces into one timer,
-    /// capped so the batch never crosses the engine's next pending
-    /// deadline. The `max(1)` keeps exactly one in-flight download
-    /// allowed to span a deadline, mirroring the per-cell semantics.
-    fn fetch_next(engine: &mut Engine, s: &St<'_>) {
-        let remaining = s.total_segments - s.fetched;
-        let ft = s.fetch_time.as_nanos();
-        let batch = if ft == 0 {
-            remaining
-        } else if let Some(deadline) = engine.next_deadline() {
-            let q = deadline.duration_since(engine.now()).as_nanos() / ft;
-            remaining.min(q.max(1))
-        } else {
-            remaining
-        };
-        let last = (s.fetched + batch - 1) as u32;
-        engine.schedule_event_in(s.fetch_time * batch, SimEvent::SegmentTimer { idx: last });
-    }
-
-    let mut st = St {
-        channel,
-        media,
-        rng,
-        fetch_time,
-        total_segments: media.segments(),
-        wall: channel.setup,
-        buffered: SimDuration::ZERO,
-        fetched: 0,
-        playing: false,
-        startup_delay: SimDuration::ZERO,
-        rebuffer_events: 0,
-        rebuffer_time: SimDuration::ZERO,
-        hazard_budget: None,
-    };
-
-    // The tunnel setup happens before the first fetch; model it as
-    // simulated time so segment timers land at true wall instants.
-    engine.advance(channel.setup);
-    if st.buffered < media.prebuffer && st.fetched < st.total_segments {
-        fetch_next(engine, &st);
-    } else {
-        begin_playback(&mut st);
-        if st.fetched < st.total_segments {
-            fetch_next(engine, &st);
-        }
-    }
-
-    engine.run_typed(&mut st, |engine, s, ev| {
-        let last = match ev {
-            SimEvent::SegmentTimer { idx } => u64::from(idx),
-            // Co-resident traffic on a shared engine: it constrained the
-            // batch length at arm time, nothing to do when it fires.
-            SimEvent::Tick { .. } => return,
-            other => unreachable!("streaming driver scheduled no {other:?}"),
-        };
-        debug_assert!(
-            last >= s.fetched && last < s.total_segments,
-            "segment batches land in order"
-        );
-        // Replay each segment of the batch in exact closed-form order;
-        // the prebuffer → playback transition and every rng draw happen
-        // at the same per-segment points as `play`.
-        for _ in s.fetched..=last {
-            if s.playing {
-                // Playback phase: hazard clock ticks on fetch time, then
-                // the playout buffer drains while the segment downloads.
-                if let Some(budget) = s.hazard_budget.as_mut() {
-                    *budget -= s.fetch_time.as_secs_f64();
-                    if *budget <= 0.0 {
-                        s.rebuffer_events += 1;
-                        s.rebuffer_time += s.channel.setup;
-                        *budget = s.rng.exponential(1.0 / s.channel.hazard_per_sec);
-                    }
-                }
-                if s.fetch_time > s.buffered {
-                    s.rebuffer_events += 1;
-                    s.rebuffer_time += s.fetch_time - s.buffered;
-                    s.buffered = SimDuration::ZERO;
-                } else {
-                    s.buffered -= s.fetch_time;
-                }
-                s.buffered += s.media.segment;
-                s.fetched += 1;
-            } else {
-                // Prebuffer phase: fills the buffer without draining it.
-                s.wall += s.fetch_time;
-                s.buffered += s.media.segment;
-                s.fetched += 1;
-                if s.buffered >= s.media.prebuffer || s.fetched >= s.total_segments {
-                    begin_playback(s);
-                }
-            }
-        }
-        if s.fetched < s.total_segments {
-            fetch_next(engine, s);
-        }
-    });
-
-    debug_assert!(st.playing, "every session leaves the prebuffer phase");
-    let ratio = st.rebuffer_time.as_secs_f64() / media.duration.as_secs_f64().max(1e-9);
-    StreamingSession {
-        startup_delay: st.startup_delay,
-        rebuffer_events: st.rebuffer_events,
-        rebuffer_time: st.rebuffer_time,
         rebuffer_ratio: ratio,
         outcome: Outcome::Complete,
     }
@@ -643,113 +463,6 @@ mod tests {
         }
         assert!(s.stats().injected > 0);
         assert!(s.stats().consistent());
-    }
-
-    #[test]
-    fn timed_play_matches_closed_form_bit_for_bit() {
-        // Channels spanning the interesting regimes: clean fast, under
-        // bitrate (constant stalls), latency-bound, hazard-heavy
-        // reconnects, and outright connect failure.
-        let mut cases = vec![
-            (channel(1.0e6, 0), MediaStream::video(SimDuration::from_secs(120))),
-            (channel(60_000.0, 0), MediaStream::video(SimDuration::from_secs(120))),
-            (channel(60_000.0, 0), MediaStream::audio(SimDuration::from_secs(120))),
-            (channel(2.0e6, 7_000), MediaStream::video(SimDuration::from_secs(60))),
-        ];
-        let mut fragile = channel(1.0e6, 0);
-        fragile.hazard_per_sec = 0.5;
-        fragile.setup = SimDuration::from_secs(3);
-        cases.push((fragile, MediaStream::video(SimDuration::from_secs(300))));
-        let mut flaky = channel(100_000.0, 50);
-        flaky.connect_failure_p = 0.5;
-        flaky.hazard_per_sec = 0.1;
-        cases.push((flaky, MediaStream::video(SimDuration::from_secs(120))));
-        // Degenerate prebuffer: playback starts before any fetch.
-        let mut instant = MediaStream::audio(SimDuration::from_secs(60));
-        instant.prebuffer = SimDuration::ZERO;
-        cases.push((channel(60_000.0, 0), instant));
-
-        for (ci, (ch, media)) in cases.iter().enumerate() {
-            for seed in 0..8u64 {
-                let mut a = SimRng::new(seed * 31 + ci as u64);
-                let mut b = SimRng::new(seed * 31 + ci as u64);
-                let plain = play(ch, media, &mut a);
-                let mut engine = Engine::with_capacity(seed, 2);
-                let timed = play_timed(&mut engine, ch, media, &mut b);
-                assert_eq!(plain.startup_delay, timed.startup_delay, "case {ci} seed {seed}");
-                assert_eq!(plain.rebuffer_events, timed.rebuffer_events, "case {ci} seed {seed}");
-                assert_eq!(plain.rebuffer_time, timed.rebuffer_time, "case {ci} seed {seed}");
-                assert_eq!(plain.outcome, timed.outcome, "case {ci} seed {seed}");
-                assert_eq!(
-                    plain.rebuffer_ratio.to_bits(),
-                    timed.rebuffer_ratio.to_bits(),
-                    "case {ci} seed {seed}"
-                );
-                // Both drivers must consume the rng identically.
-                assert_eq!(
-                    a.exponential(1.0).to_bits(),
-                    b.exponential(1.0).to_bits(),
-                    "case {ci} seed {seed}: rng streams diverged"
-                );
-                assert_eq!(engine.events_pending(), 0, "driver left timers armed");
-            }
-        }
-    }
-
-    #[test]
-    fn timed_play_reuses_a_warm_engine() {
-        let ch = channel(60_000.0, 0);
-        let media = MediaStream::video(SimDuration::from_secs(120));
-        let mut engine = Engine::with_capacity(5, 2);
-        let mut rng = SimRng::new(5);
-        let first = play_timed(&mut engine, &ch, &media, &mut rng);
-        let scheduled_cold = engine.events_scheduled();
-        let reuses_cold = engine.slab_reuses();
-        let mut rng = SimRng::new(5);
-        let second = play_timed(&mut engine, &ch, &media, &mut rng);
-        assert_eq!(first.rebuffer_events, second.rebuffer_events);
-        assert_eq!(first.rebuffer_time, second.rebuffer_time);
-        let warm_scheduled = engine.events_scheduled() - scheduled_cold;
-        assert!(warm_scheduled > 0);
-        assert_eq!(
-            engine.slab_reuses() - reuses_cold,
-            warm_scheduled,
-            "every warm schedule must recycle a slab slot"
-        );
-    }
-
-    #[test]
-    fn timed_play_coalesces_batches_and_splits_at_foreign_deadlines() {
-        let ch = channel(60_000.0, 0);
-        let media = MediaStream::video(SimDuration::from_secs(120)); // 20 segments
-        // Dedicated engine: the session coalesces into a handful of
-        // batch timers, far fewer than one event per segment.
-        let mut rng = SimRng::new(9);
-        let mut clean = Engine::with_capacity(9, 2);
-        let base = play_timed(&mut clean, &ch, &media, &mut rng);
-        assert!(
-            clean.events_executed() < media.segments(),
-            "no coalescing: {} events for {} segments",
-            clean.events_executed(),
-            media.segments()
-        );
-        // Same session with a foreign Tick pending mid-stream: batches
-        // must split at it (never integrate past a pending deadline),
-        // ignore it when it fires, and reproduce the result exactly.
-        let mut rng = SimRng::new(9);
-        let mut shared = Engine::with_capacity(9, 4);
-        shared.schedule_event_in(SimDuration::from_secs(40), SimEvent::Tick { tag: 77 });
-        let split = play_timed(&mut shared, &ch, &media, &mut rng);
-        assert_eq!(base.startup_delay, split.startup_delay);
-        assert_eq!(base.rebuffer_events, split.rebuffer_events);
-        assert_eq!(base.rebuffer_time, split.rebuffer_time);
-        assert_eq!(base.rebuffer_ratio.to_bits(), split.rebuffer_ratio.to_bits());
-        assert_eq!(base.outcome, split.outcome);
-        assert!(
-            shared.events_executed() > clean.events_executed(),
-            "the pending foreign deadline must force a batch split"
-        );
-        assert_eq!(shared.events_pending(), 0);
     }
 
     #[test]
