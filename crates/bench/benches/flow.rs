@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the fluid scheduler and the max–min
-//! allocator: optimized incremental implementation vs the retained
+//! allocator: optimized persistent implementation vs the retained
 //! reference oracle, over the standard workload classes from
 //! [`ptperf_bench::flowbench`].
 //!

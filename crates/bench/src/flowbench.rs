@@ -50,12 +50,6 @@ pub struct ClassResult {
     pub fast_path_per_run: u64,
     /// Max-min recomputations per run (one per allocation event).
     pub recomputations_per_run: u64,
-    /// Allocations that reused at least one cached component per run
-    /// (0 for single-bottleneck classes, which have nothing to split).
-    pub incremental_per_run: u64,
-    /// Incremental allocations that failed the closure check and
-    /// re-ran the full solve, per run. Bounded by `recomputations`.
-    pub full_fallback_per_run: u64,
     /// Optimized scheduler p50 wall time, microseconds.
     pub opt_p50_us: f64,
     /// Optimized scheduler p95 wall time, microseconds.
@@ -76,8 +70,9 @@ pub struct ClassResult {
 
 /// Whether a class's structure admits the analytic fast path: browser
 /// classes are single-bottleneck, capped pools are uniform-cap. Mesh
-/// and churn classes can never hit it — their smoke gate is the
-/// incremental counter instead (see `flow_counters_match_class_shape`).
+/// and churn classes hit it only on single-node allocations — their
+/// smoke gate is that some allocations run the generic fill instead
+/// (see `flow_counters_match_class_shape`).
 pub fn fast_path_eligible(name: &str) -> bool {
     name.starts_with("browser_") || name.starts_with("capped_")
 }
@@ -109,15 +104,15 @@ pub fn standard_workloads() -> Vec<Workload> {
     {
         // Bigger adversarial mesh: 4x the flows and 2x the nodes of
         // mesh_16n_64f — the scale where re-solving the whole network
-        // per event dominates and component reuse pays.
+        // per event dominates.
         let mut rng = SimRng::new(15);
         let inst = maxmin_demo::random_fluid_instance(&mut rng, 32, 256);
         out.push(Workload { name: "mesh_32n_256f", net: inst.net, batch: inst.batch });
     }
     {
         // Interleaved arrival/departure churn: staggered slots keep
-        // the active set mutating one flow at a time, the best case
-        // for incremental component reuse.
+        // the active set mutating one flow at a time, so nearly every
+        // step re-solves a multi-bottleneck active set.
         let mut rng = SimRng::new(16);
         let inst = maxmin_demo::churn_fluid_instance(&mut rng, 24, 192);
         out.push(Workload { name: "churn_mesh", net: inst.net, batch: inst.batch });
@@ -168,8 +163,6 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     let steps_per_run = data.counter("fluid/steps").unwrap_or(0);
     let fast_path_per_run = data.counter("maxmin/fast_path").unwrap_or(0);
     let recomputations_per_run = data.counter("maxmin/recomputations").unwrap_or(0);
-    let incremental_per_run = data.counter("maxmin/incremental").unwrap_or(0);
-    let full_fallback_per_run = data.counter("maxmin/full_fallback").unwrap_or(0);
 
     // Warmup: let the scratch reach its high-water marks.
     for _ in 0..3 {
@@ -209,8 +202,6 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
         steps_per_run,
         fast_path_per_run,
         recomputations_per_run,
-        incremental_per_run,
-        full_fallback_per_run,
         opt_p50_us: opt_p50,
         opt_p95_us: opt_p95,
         ref_p50_us: ref_p50,
@@ -239,7 +230,6 @@ pub fn render_json(results: &[ClassResult], runs: usize) -> String {
             format!(
                 "    {{\"name\": {}, \"flows\": {}, \"steps_per_run\": {}, \
                  \"fast_path_per_run\": {}, \"recomputations_per_run\": {}, \
-                 \"incremental_per_run\": {}, \"full_fallback_per_run\": {}, \
                  \"optimized\": {{\"p50_us\": {}, \"p95_us\": {}}}, \
                  \"reference\": {{\"p50_us\": {}, \"p95_us\": {}}}, \"steps_per_sec\": {}, \
                  \"speedup_p50\": {}, \"allocs_per_step\": {}}}",
@@ -248,8 +238,6 @@ pub fn render_json(results: &[ClassResult], runs: usize) -> String {
                 r.steps_per_run,
                 r.fast_path_per_run,
                 r.recomputations_per_run,
-                r.incremental_per_run,
-                r.full_fallback_per_run,
                 json::number(r.opt_p50_us),
                 json::number(r.opt_p95_us),
                 json::number(r.ref_p50_us),
@@ -274,8 +262,6 @@ pub fn render_table(results: &[ClassResult], runs: usize) -> String {
         "flows",
         "steps",
         "fast",
-        "incr",
-        "fallback",
         "opt p50 (µs)",
         "opt p95 (µs)",
         "ref p50 (µs)",
@@ -289,8 +275,6 @@ pub fn render_table(results: &[ClassResult], runs: usize) -> String {
             r.flows.to_string(),
             r.steps_per_run.to_string(),
             r.fast_path_per_run.to_string(),
-            r.incremental_per_run.to_string(),
-            r.full_fallback_per_run.to_string(),
             format!("{:.1}", r.opt_p50_us),
             format!("{:.1}", r.opt_p95_us),
             format!("{:.1}", r.ref_p50_us),
@@ -330,8 +314,8 @@ mod tests {
         assert!(r.steps_per_run > 0);
         // browser_64 is fast-path-eligible (pure single-bottleneck):
         // every step that reallocated took the analytic path. Classes
-        // that can never hit it are gated on the incremental counter
-        // in `flow_counters_match_class_shape` instead.
+        // that can rarely hit it are gated on the generic fill in
+        // `flow_counters_match_class_shape` instead.
         assert!(fast_path_eligible(r.name));
         assert!(r.fast_path_per_run > 0);
         assert!(r.opt_p50_us >= 0.0 && r.opt_p95_us >= r.opt_p50_us * 0.999);
@@ -368,10 +352,8 @@ mod tests {
 
     /// The per-class counter smoke gate: fast-path-eligible classes
     /// must actually take the analytic path, and multi-bottleneck
-    /// mesh/churn classes — which can never hit it — must instead
-    /// exercise incremental component reuse. Fallbacks stay strictly
-    /// below the recomputation count everywhere (the incremental path
-    /// must not degenerate into a full re-solve per event).
+    /// mesh/churn classes must run the generic progressive fill on at
+    /// least one allocation (the fast path cannot cover them).
     fn flow_counters_match_class_shape(results: &[ClassResult]) {
         for r in results {
             if fast_path_eligible(r.name) {
@@ -382,18 +364,14 @@ mod tests {
                 );
             } else {
                 assert!(
-                    r.incremental_per_run > 0,
-                    "{}: mesh/churn class never reused a component",
-                    r.name
+                    r.fast_path_per_run < r.recomputations_per_run,
+                    "{}: {} fast-path hits out of {} recomputations — \
+                     mesh/churn class never ran the generic fill",
+                    r.name,
+                    r.fast_path_per_run,
+                    r.recomputations_per_run
                 );
             }
-            assert!(
-                r.full_fallback_per_run < r.recomputations_per_run.max(1),
-                "{}: {} fallbacks out of {} recomputations — cache never holds",
-                r.name,
-                r.full_fallback_per_run,
-                r.recomputations_per_run
-            );
         }
     }
 }

@@ -439,29 +439,29 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_an_incremental_maxmin_counter_track() {
-        // Shards that exercised the incremental allocator carry the
-        // `maxmin/incremental` counter, and the Chrome export must
-        // surface it as its own "C" track alongside the other keys.
+    fn chrome_trace_renders_a_maxmin_fast_path_counter_track() {
+        // Shards that ran the fluid scheduler carry the `maxmin/*`
+        // counters, and the Chrome export must surface each key as its
+        // own "C" track alongside the other keys.
         let mut run = sample_run();
-        run.reports[0].obs.counters.push(("maxmin/incremental", 37));
-        run.reports[0].obs.counters.push(("maxmin/full_fallback", 2));
+        run.reports[0].obs.counters.push(("maxmin/fast_path", 37));
+        run.reports[0].obs.counters.push(("maxmin/recomputations", 40));
         let doc = trace_chrome(&[run]);
         let v = json::parse(&doc).expect("chrome trace is valid JSON");
         let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-        let inc: Vec<_> = events
+        let fast: Vec<_> = events
             .iter()
             .filter(|e| {
                 e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("maxmin/incremental")
+                    && e.get("name").and_then(|n| n.as_str()) == Some("maxmin/fast_path")
             })
             .collect();
-        assert_eq!(inc.len(), 1, "one incremental track sample per shard");
+        assert_eq!(fast.len(), 1, "one fast-path track sample per shard");
         assert_eq!(
-            inc[0].get("args").unwrap().get("value").and_then(|x| x.as_f64()),
+            fast[0].get("args").unwrap().get("value").and_then(|x| x.as_f64()),
             Some(37.0)
         );
-        assert!(doc.contains("\"maxmin/full_fallback\""));
+        assert!(doc.contains("\"maxmin/recomputations\""));
     }
 
     #[test]

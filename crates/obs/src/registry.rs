@@ -99,11 +99,6 @@ pub const COUNTERS: &[CounterDef] = &[
         doc: "fluid scheduler advance steps executed",
     },
     CounterDef {
-        key: "maxmin/component_flows",
-        kind: CounterKind::Trace,
-        doc: "flows re-solved inside changed bottleneck components on incremental allocations",
-    },
-    CounterDef {
         key: "maxmin/fast_path",
         kind: CounterKind::Trace,
         doc: "max-min recomputations resolved by the analytic single-bottleneck path",
@@ -117,16 +112,6 @@ pub const COUNTERS: &[CounterDef] = &[
         key: "maxmin/flows_node_limited",
         kind: CounterKind::Trace,
         doc: "flows whose rate was limited by a saturated node",
-    },
-    CounterDef {
-        key: "maxmin/full_fallback",
-        kind: CounterKind::Trace,
-        doc: "incremental allocations whose closure check failed and re-ran the full global solve",
-    },
-    CounterDef {
-        key: "maxmin/incremental",
-        kind: CounterKind::Trace,
-        doc: "allocations that reused at least one unchanged component's cached rates bit-for-bit",
     },
     CounterDef {
         key: "maxmin/nodes_saturated",

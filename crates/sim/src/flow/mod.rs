@@ -15,13 +15,17 @@
 //!
 //! ## Two implementations, one behavior
 //!
-//! The public entry points run the **incremental** implementation in the
+//! The public entry points run the **persistent** implementation in the
 //! private `sched` module (exported as [`FluidScheduler`]): persistent
 //! scratch buffers, a reverse node→active-flow index, an arrival
 //! min-heap, a skip of the allocator when a step leaves the active set
 //! unchanged, and an analytic fast path for the dominant
-//! single-bottleneck case. The original from-scratch progressive-filling
-//! implementation is retained in [`reference`] as an equivalence oracle;
+//! single-bottleneck case. Every allocation is one global max–min
+//! solve over the whole active set; there is no per-component cache,
+//! because every allocation the paper's workloads perform has a single
+//! bottleneck (one PT tunnel per page load) and takes the fast path.
+//! The original from-scratch progressive-filling implementation is
+//! retained in [`reference`] as an equivalence oracle;
 //! `crates/sim/tests/equivalence.rs` proves the two agree **bit for
 //! bit** (rates and completion times) on thousands of generated
 //! workloads, and the Criterion suite in `crates/bench/benches/flow.rs`
@@ -344,7 +348,7 @@ pub struct FluidCompletion {
 ///
 /// Deterministic, event-stepped: between consecutive events (a flow
 /// arriving or finishing) rates are constant, so each flow's remaining
-/// bytes decrease linearly. The incremental implementation keeps every
+/// bytes decrease linearly. The persistent implementation keeps every
 /// per-step structure in reusable scratch (see [`FluidScheduler`]), so
 /// the hot path is allocation-free after warmup and each step costs
 /// O(log E) heap work plus one allocation pass only when the active set
@@ -357,14 +361,11 @@ pub fn fluid_schedule(net: &FairNetwork, batch: &FlowBatch) -> Vec<FluidCompleti
 /// (`fluid/steps`, one per constant-rate segment), steps that reused the
 /// previous rates because the active set was unchanged
 /// (`fluid/realloc_skipped`), and forwards the recorder to the allocator
-/// so per-step work (`maxmin/recomputations`, `maxmin/fast_path`) is
-/// visible too. The event-incremental allocator adds its own triple:
-/// allocations that copied at least one unchanged bottleneck
-/// component's cached rates (`maxmin/incremental`), the number of flows
-/// actually re-solved on those allocations (`maxmin/component_flows`),
-/// and closure-check failures that re-ran the full global solve
-/// (`maxmin/full_fallback`). Delegation works the same way as for
-/// `maxmin_rates`: one body, observations only.
+/// so per-step work (`maxmin/recomputations`, `maxmin/fast_path`,
+/// `maxmin/rounds`) is visible too: each allocation is one global
+/// solve, so `maxmin/recomputations` counts allocations and
+/// `maxmin/rounds` their filling rounds. Delegation works the same way
+/// as for `maxmin_rates`: one body, observations only.
 ///
 /// A re-entrant call (a recorder implementation that itself schedules
 /// flows) cannot borrow the thread-local scheduler a second time; it
@@ -515,9 +516,9 @@ pub mod maxmin_demo {
     /// An interleaved arrival/departure "churn" workload: flows arrive
     /// spread over a long horizon with sizes small enough that early
     /// flows drain while later ones are still due, so the active set
-    /// rises and falls repeatedly and its bottleneck components keep
-    /// splitting and re-forming — the shape that exercises the
-    /// scheduler's incremental component reuse (`maxmin/incremental`).
+    /// rises and falls repeatedly and its bottleneck structure keeps
+    /// splitting and re-forming — the shape that drives many
+    /// multi-bottleneck generic-fill allocations through one run.
     /// Inherits every degenerate case of [`random_instance_raw`]
     /// (cap-only flows, duplicated path nodes) and adds zero-byte
     /// flows and simultaneous arrivals (starts are quantized to 5 ms).
@@ -931,17 +932,18 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_flows_reuse_cached_components() {
+    fn disjoint_flows_take_the_generic_fill_on_every_multi_node_event() {
         // Three flows on three disjoint nodes, plus a late arrival on
-        // the third node. Every event after the first allocation leaves
-        // at least one component untouched, so the incremental path
-        // reuses its cached rates instead of re-solving it:
-        //   t=0.0  f0,f1,f2 arrive  — first solve, nothing cached yet
-        //   t=0.1  f2 completes     — {f0},{f1} reused, 0 re-solved
-        //   t=0.5  f3 arrives       — {f0},{f1} reused, {f3} solved
-        //   t=0.6  f3 completes     — {f0},{f1} reused, 0 re-solved
-        //   t=1.0  f0 completes     — lone survivor: single-component
-        //                             lane, not the incremental path
+        // the third node. Each allocation is one global solve over the
+        // whole active set; the fast path needs a single shared node,
+        // so only the lone-survivor allocation takes it. Hand-traced
+        // (levels are node shares; disjoint nodes never couple):
+        //   t=0.0  f0,f1,f2 arrive  — nodes {0,1,2}: 3 rounds
+        //                             (4e6 freezes f1, 8e6 f0, 16e6 f2)
+        //   t=0.1  f2 completes     — nodes {0,1}:   2 rounds
+        //   t=0.5  f3 arrives       — nodes {0,1,2}: 3 rounds
+        //   t=0.6  f3 completes     — nodes {0,1}:   2 rounds
+        //   t=1.0  f0 completes     — f1 alone on node 1: fast path
         let n = net(&[8e6, 4e6, 16e6]);
         let mut b = FlowBatch::new();
         b.push(SimTime::ZERO, 8e6, &[0], None, SimDuration::ZERO);
@@ -960,24 +962,18 @@ mod tests {
         assert_eq!(recorded, reference::fluid_schedule(&n, &b));
         let data = rec.into_data();
         assert_eq!(data.counter("maxmin/recomputations"), Some(5));
-        assert_eq!(data.counter("maxmin/incremental"), Some(3));
-        assert_eq!(data.counter("maxmin/component_flows"), Some(1));
-        assert_eq!(data.counter("maxmin/full_fallback"), None);
-        // Every component solve is a lone unconstrained flow: all five
-        // allocations resolve analytically, one round each.
-        assert_eq!(data.counter("maxmin/fast_path"), Some(5));
-        assert_eq!(data.counter("maxmin/rounds"), Some(5));
+        assert_eq!(data.counter("maxmin/fast_path"), Some(1));
+        assert_eq!(data.counter("maxmin/rounds"), Some(3 + 2 + 3 + 2 + 1));
     }
 
     #[test]
-    fn near_tie_components_fall_back_to_full_solve() {
-        // Two disjoint single-flow components whose bottleneck levels
-        // differ by ~1e-12 relative — inside the oracle's freeze
-        // epsilon band (1e-9 relative) but not bit-identical. The
-        // closure check cannot prove the global freeze order matches
-        // the per-component replay, so the allocation must fall back
-        // to the full solve rather than risk a divergent eps-band
-        // freeze.
+    fn near_tie_levels_freeze_together_at_the_global_level() {
+        // Two flows on two disjoint nodes whose shares differ by ~1e-12
+        // relative — inside the freeze epsilon band (1e-9 relative) but
+        // not bit-identical. The global solve's first round picks the
+        // lower share as the level, and the other node sits inside its
+        // band, so both flows freeze in that one round at the *same*
+        // level, exactly as the oracle does.
         let n = net(&[10.0, 10.0 * (1.0 + 1e-13)]);
         let mut b = FlowBatch::new();
         b.push(SimTime::ZERO, 100.0, &[0], None, SimDuration::ZERO);
@@ -986,12 +982,15 @@ mod tests {
         let recorded = fluid_schedule_recorded(&n, &b, &mut rec);
         assert_eq!(recorded, fluid_schedule(&n, &b), "recording must be neutral");
         assert_eq!(recorded, reference::fluid_schedule(&n, &b));
+        // Same level, so both drain in the same instant.
+        assert_eq!(recorded[0], recorded[1]);
         let data = rec.into_data();
-        assert_eq!(data.counter("maxmin/full_fallback"), Some(1));
-        assert_eq!(data.counter("maxmin/incremental"), None);
-        // Both finish times round to the same nanosecond, so the run is
-        // a single allocation: the one that failed the closure check.
+        // Both finish times land on the same nanosecond, so the run is
+        // a single allocation: one generic round freezing both flows.
         assert_eq!(data.counter("maxmin/recomputations"), Some(1));
+        assert_eq!(data.counter("maxmin/fast_path"), None);
+        assert_eq!(data.counter("maxmin/rounds"), Some(1));
+        assert_eq!(data.counter("maxmin/flows_node_limited"), Some(2));
     }
 
     #[test]

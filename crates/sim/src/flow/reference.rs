@@ -1,5 +1,5 @@
 //! The from-scratch max–min allocator and fluid scheduler, retained as
-//! an **equivalence oracle** for the incremental implementation behind
+//! an **equivalence oracle** for the persistent implementation behind
 //! the module-level entry points.
 //!
 //! This is the original progressive-filling code with two like-for-like

@@ -1,4 +1,4 @@
-//! Incremental max–min allocation and fluid scheduling.
+//! Max–min allocation and fluid scheduling.
 //!
 //! Everything the per-step hot path needs lives in persistent scratch
 //! owned by [`MaxMinScratch`] / [`FluidScheduler`]: per-node counters
@@ -94,15 +94,6 @@ pub(crate) struct MaxMinScratch {
     /// Cap-limited freeze candidates of the current round, re-sorted
     /// ascending by slot to replay the oracle's demand-order scan.
     cap_tmp: Vec<u32>,
-    /// Filling level of every round of the last solve, in round order.
-    /// Within one solve the sequence is strictly increasing with gaps
-    /// larger than the freeze epsilon; the component tracker merges
-    /// these sequences across components to prove a partitioned solve
-    /// equals the global one.
-    levels: Vec<f64>,
-    /// The defensive no-progress branch fired during the last solve,
-    /// so its level sequence cannot be trusted for merging.
-    poisoned: bool,
     /// Times a scratch buffer had to grow (the allocation proxy
     /// surfaced by [`FluidScheduler::scratch_grows`]).
     grow_events: u64,
@@ -143,25 +134,7 @@ impl MaxMinScratch {
         rec: &mut dyn Recorder,
     ) {
         rec.add("maxmin/recomputations", 1);
-        self.solve_set(net, active, csr, out, rec);
-    }
-
-    /// [`solve`](MaxMinScratch::solve) without the per-event
-    /// `maxmin/recomputations` emission: the unit of work the component
-    /// tracker invokes once per re-solved component, so one flow event
-    /// still counts as one recomputation no matter how the active set
-    /// partitions.
-    pub(crate) fn solve_set(
-        &mut self,
-        net: &FairNetwork,
-        active: &[u32],
-        csr: Csr<'_>,
-        out: &mut Vec<f64>,
-        rec: &mut dyn Recorder,
-    ) {
-        let levels_cap = self.levels.capacity() + self.cap_order.capacity() + self.cap_tmp.capacity();
-        self.levels.clear();
-        self.poisoned = false;
+        let sort_cap = self.cap_order.capacity() + self.cap_tmp.capacity();
         self.ensure_nodes(net.len());
         self.ensure_flows(active.len());
         out.clear();
@@ -201,8 +174,7 @@ impl MaxMinScratch {
             self.used[n] = 0.0;
             self.bucket[n].clear();
         }
-        if self.levels.capacity() + self.cap_order.capacity() + self.cap_tmp.capacity() > levels_cap
-        {
+        if self.cap_order.capacity() + self.cap_tmp.capacity() > sort_cap {
             self.grow_events += 1;
         }
     }
@@ -247,7 +219,6 @@ impl MaxMinScratch {
             None => share,
         };
         let eps = 1e-9 * level.max(1.0);
-        self.levels.push(level);
         let at = match first {
             Some(c) => c.min(level),
             None => level,
@@ -322,7 +293,6 @@ impl MaxMinScratch {
                 }
             }
             debug_assert!(level.is_finite(), "no binding constraint found");
-            self.levels.push(level);
 
             // Freeze set against a snapshot of `used`, exactly like the
             // oracle: shares are not recomputed mid-round.
@@ -375,7 +345,6 @@ impl MaxMinScratch {
                 // Defensive: guarantee termination under floating-point
                 // pathologies by freezing everything at the level.
                 debug_assert!(false, "progressive filling made no progress");
-                self.poisoned = true;
                 for k in 0..active.len() {
                     if !self.frozen[k] {
                         self.freeze_list.push(k as u32);
@@ -396,392 +365,6 @@ impl MaxMinScratch {
                 remaining -= 1;
             }
         }
-    }
-}
-
-/// Sentinel for "no component / no committed assignment".
-const NO_COMP: u32 = u32::MAX;
-
-/// Event-incremental dispatch for the fluid scheduler's allocations.
-///
-/// Progressive filling is separable: flows that share no node —
-/// directly or transitively — cannot influence each other's rates, so
-/// the active set partitions into *bottleneck components* (connected
-/// components of the shared-node graph) that can be solved
-/// independently. The tracker partitions the active set with a
-/// union-find on every allocation, re-solves only the components whose
-/// membership changed since the last committed allocation, and copies
-/// every other flow's cached rate bit-for-bit.
-///
-/// Independence alone is not enough for bit-for-bit equivalence with
-/// the global oracle: the freeze rule uses an epsilon band
-/// (`share <= level + eps`), so a component whose local filling level
-/// falls within `eps` of another component's — without being
-/// bit-equal — would freeze at the *global* level in the oracle but at
-/// its *own* level locally. The closure check below catches exactly
-/// this: each solve records its per-round level sequence, and a k-way
-/// merge across components verifies that at every merged round each
-/// head is either bit-equal to the round's minimum or strictly above
-/// its epsilon band. (Within a component, levels strictly increase by
-/// more than `eps` per round, so heads advance at most once per merged
-/// round; bit-equal cross-component ties are harmless because freeze
-/// order only affects the per-node `used` accumulation, which is
-/// component-local.) Any violation — or a poisoned local solve — falls
-/// back to the full global solve and invalidates the cache, mirroring
-/// the drift-margin-verified-with-exact-fallback pattern of the
-/// establishment index.
-#[derive(Debug, Default)]
-struct CompTracker {
-    /// Per node: the active slot that first claimed it during the
-    /// current partition (`NO_COMP` when unclaimed); reset through
-    /// `node_touched` after the partition so the buffer stays clean.
-    node_rep: Vec<u32>,
-    node_touched: Vec<NodeId>,
-    /// Union-find parent per active slot. Unions attach the larger
-    /// root under the smaller, so every root is its component's
-    /// minimum slot and canonical ids come out in first-member order.
-    parent: Vec<u32>,
-    /// Per active slot: canonical component id for this partition.
-    comp_of: Vec<u32>,
-    comp_size: Vec<u32>,
-    comp_changed: Vec<bool>,
-    /// Per component: the committed id shared by all its members, or
-    /// `NO_COMP` until the first member with a committed id is seen.
-    comp_prev: Vec<u32>,
-    /// Member slots of the component currently being re-solved.
-    members: Vec<u32>,
-    /// Committed per-component level sequences from the last
-    /// successful allocation, and the arena being assembled now.
-    seq_off: Vec<usize>,
-    seq_data: Vec<f64>,
-    new_seq_off: Vec<usize>,
-    new_seq_data: Vec<f64>,
-    /// Committed component sizes, indexed by committed component id.
-    prev_size: Vec<u32>,
-    /// K-way merge heap over `(level bits, component)` for the closure
-    /// check. Levels are positive, so the bit order is the value order.
-    merge: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Merge cursor per component (index into `new_seq_data`).
-    heads: Vec<usize>,
-    /// Flow ids / rates of the component currently being re-solved.
-    sub_active: Vec<u32>,
-    sub_rates: Vec<f64>,
-    /// Whether the committed cache (rates in the scheduler's lockstep
-    /// vector, sequences and sizes here) may be reused.
-    valid: bool,
-    grow_events: u64,
-}
-
-impl CompTracker {
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let p = self.parent[x as usize];
-            self.parent[x as usize] = self.parent[p as usize];
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
-    /// Union by minimum root; returns whether two trees merged.
-    fn union(&mut self, a: u32, b: u32) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return false;
-        }
-        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[hi as usize] = lo;
-        true
-    }
-
-    /// Reset the committed cache: the next allocation re-solves every
-    /// component. Called at run start and after a fallback.
-    fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Sum of every buffer's capacity — the growth proxy feeding
-    /// [`FluidScheduler::scratch_grows`].
-    fn capacity_sum(&self) -> usize {
-        self.node_rep.capacity()
-            + self.node_touched.capacity()
-            + self.parent.capacity()
-            + self.comp_of.capacity()
-            + self.comp_size.capacity()
-            + self.comp_changed.capacity()
-            + self.comp_prev.capacity()
-            + self.members.capacity()
-            + self.seq_off.capacity()
-            + self.seq_data.capacity()
-            + self.new_seq_off.capacity()
-            + self.new_seq_data.capacity()
-            + self.prev_size.capacity()
-            + self.merge.capacity()
-            + self.heads.capacity()
-            + self.sub_active.capacity()
-            + self.sub_rates.capacity()
-    }
-
-    /// One flow-event allocation: partition, re-solve changed
-    /// components, verify the merged level sequences, commit — or fall
-    /// back to the global solve on any violation.
-    ///
-    /// `rates` and `prev_comp` are the scheduler's lockstep-per-slot
-    /// vectors: cached rates of unchanged components are left exactly
-    /// as committed, and `prev_comp` is rewritten to the new component
-    /// ids on commit.
-    #[allow(clippy::too_many_arguments)]
-    fn allocate(
-        &mut self,
-        alloc: &mut MaxMinScratch,
-        net: &FairNetwork,
-        active: &[u32],
-        csr: Csr<'_>,
-        rates: &mut Vec<f64>,
-        prev_comp: &mut [u32],
-        rec: &mut dyn Recorder,
-    ) {
-        rec.add("maxmin/recomputations", 1);
-        debug_assert_eq!(rates.len(), active.len());
-        debug_assert_eq!(prev_comp.len(), active.len());
-        let n = active.len();
-        let caps_before = self.capacity_sum();
-
-        // Hub pre-check: a node contained in every active path proves
-        // the partition is one component without touching the
-        // union-find — the common case for browser-style
-        // single-bottleneck workloads, where the full partition scan
-        // would cost more than the analytic solve itself. Paths are
-        // short (usually one node), so `contains` beats binary search.
-        if let Some(&f0) = active.first() {
-            'hub: for &h in csr.path(f0 as usize) {
-                for &f in &active[1..] {
-                    if !csr.path(f as usize).contains(&h) {
-                        continue 'hub;
-                    }
-                }
-                self.solve_single(alloc, net, active, csr, rates, prev_comp, rec);
-                if self.capacity_sum() > caps_before {
-                    self.grow_events += 1;
-                }
-                return;
-            }
-        }
-
-        // Partition into shared-node components. The first slot to
-        // cross a node claims it; later slots union with the claimant.
-        // Every merge collapses two trees, so the tree count falling
-        // out of the scan is the component count.
-        if self.node_rep.len() < net.len() {
-            self.node_rep.resize(net.len(), NO_COMP);
-        }
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
-        let mut n_trees = n as u32;
-        for (k, &f) in active.iter().enumerate() {
-            for &node in csr.path(f as usize) {
-                let r = self.node_rep[node];
-                if r == NO_COMP {
-                    self.node_rep[node] = k as u32;
-                    self.node_touched.push(node);
-                } else if self.union(k as u32, r) {
-                    n_trees -= 1;
-                }
-            }
-        }
-        for i in 0..self.node_touched.len() {
-            self.node_rep[self.node_touched[i]] = NO_COMP;
-        }
-        self.node_touched.clear();
-
-        if n_trees == 1 {
-            self.solve_single(alloc, net, active, csr, rates, prev_comp, rec);
-            if self.capacity_sum() > caps_before {
-                self.grow_events += 1;
-            }
-            return;
-        }
-
-        // Canonical component ids in first-member order (roots are
-        // component minima, so the ascending scan meets each root
-        // before any other member), fused with change detection: a
-        // component is unchanged exactly when every member carried the
-        // same committed id and that committed component had the same
-        // size — i.e. the membership is identical, so its cached rates
-        // and level sequence are still the solve's answer.
-        self.comp_of.clear();
-        self.comp_size.clear();
-        self.comp_changed.clear();
-        self.comp_prev.clear();
-        let mut n_comps = 0u32;
-        for k in 0..n as u32 {
-            let r = self.find(k);
-            let c = if r == k {
-                let c = n_comps;
-                n_comps += 1;
-                self.comp_size.push(0);
-                self.comp_changed.push(!self.valid);
-                self.comp_prev.push(NO_COMP);
-                c
-            } else {
-                self.comp_of[r as usize]
-            } as usize;
-            self.comp_of.push(c as u32);
-            self.comp_size[c] += 1;
-            let p = prev_comp[k as usize];
-            if p == NO_COMP {
-                self.comp_changed[c] = true;
-            } else if self.comp_prev[c] == NO_COMP {
-                self.comp_prev[c] = p;
-            } else if self.comp_prev[c] != p {
-                self.comp_changed[c] = true;
-            }
-        }
-        for c in 0..n_comps as usize {
-            if !self.comp_changed[c] {
-                let p = self.comp_prev[c];
-                if p == NO_COMP || self.prev_size[p as usize] != self.comp_size[c] {
-                    self.comp_changed[c] = true;
-                }
-            }
-        }
-
-        // Re-solve changed components; splice cached level sequences
-        // for unchanged ones (their rates are already in `rates`).
-        // Member slots are collected per changed component with a scan
-        // in slot order — preserving the active order the oracle's
-        // cap-limited freeze scan uses — which beats maintaining a full
-        // counting-sort grouping when most components are unchanged.
-        self.new_seq_off.clear();
-        self.new_seq_data.clear();
-        self.new_seq_off.push(0);
-        let mut reused = 0u32;
-        let mut resolved_flows = 0u64;
-        let mut poisoned = false;
-        for c in 0..n_comps as usize {
-            if self.comp_changed[c] {
-                self.members.clear();
-                self.sub_active.clear();
-                for (k, &f) in active.iter().enumerate() {
-                    if self.comp_of[k] == c as u32 {
-                        self.members.push(k as u32);
-                        self.sub_active.push(f);
-                    }
-                }
-                alloc.solve_set(net, &self.sub_active, csr, &mut self.sub_rates, rec);
-                poisoned |= alloc.poisoned;
-                for (j, &k) in self.members.iter().enumerate() {
-                    rates[k as usize] = self.sub_rates[j];
-                }
-                self.new_seq_data.extend_from_slice(&alloc.levels);
-                resolved_flows += self.sub_active.len() as u64;
-            } else {
-                reused += 1;
-                let p = self.comp_prev[c] as usize;
-                let (s, e) = (self.seq_off[p], self.seq_off[p + 1]);
-                self.new_seq_data.extend_from_slice(&self.seq_data[s..e]);
-            }
-            self.new_seq_off.push(self.new_seq_data.len());
-        }
-
-        if !poisoned && self.merge_check(n_comps as usize) {
-            if reused > 0 {
-                rec.add("maxmin/incremental", 1);
-                rec.add("maxmin/component_flows", resolved_flows);
-            }
-            for (k, p) in prev_comp.iter_mut().enumerate() {
-                *p = self.comp_of[k];
-            }
-            std::mem::swap(&mut self.seq_off, &mut self.new_seq_off);
-            std::mem::swap(&mut self.seq_data, &mut self.new_seq_data);
-            self.prev_size.clear();
-            self.prev_size.extend_from_slice(&self.comp_size);
-            self.valid = true;
-        } else {
-            rec.add("maxmin/full_fallback", 1);
-            alloc.solve_set(net, active, csr, rates, rec);
-            self.valid = false;
-        }
-
-        if self.capacity_sum() > caps_before {
-            self.grow_events += 1;
-        }
-    }
-
-    /// The whole active set is one component: the global solve *is*
-    /// the component solve, and any flow event changes the one
-    /// component's membership, so there is nothing to reuse. Solve
-    /// directly and commit the level sequence for future partitions.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_single(
-        &mut self,
-        alloc: &mut MaxMinScratch,
-        net: &FairNetwork,
-        active: &[u32],
-        csr: Csr<'_>,
-        rates: &mut Vec<f64>,
-        prev_comp: &mut [u32],
-        rec: &mut dyn Recorder,
-    ) {
-        alloc.solve_set(net, active, csr, rates, rec);
-        prev_comp.fill(0);
-        self.new_seq_off.clear();
-        self.new_seq_off.push(0);
-        self.new_seq_data.clear();
-        self.new_seq_data.extend_from_slice(&alloc.levels);
-        self.new_seq_off.push(self.new_seq_data.len());
-        std::mem::swap(&mut self.seq_off, &mut self.new_seq_off);
-        std::mem::swap(&mut self.seq_data, &mut self.new_seq_data);
-        self.prev_size.clear();
-        self.prev_size.push(active.len() as u32);
-        self.valid = !alloc.poisoned;
-    }
-
-    /// The closure check: k-way merge of the per-component level
-    /// sequences in `new_seq_*`. Passes when every merged round's
-    /// non-minimum heads sit strictly above the minimum's epsilon band
-    /// — exactly the condition under which the global oracle's freeze
-    /// sets equal the union of the component-local ones.
-    fn merge_check(&mut self, n_comps: usize) -> bool {
-        if n_comps <= 1 {
-            // One component *is* the global solve.
-            return true;
-        }
-        self.merge.clear();
-        self.heads.clear();
-        for c in 0..n_comps {
-            let s = self.new_seq_off[c];
-            if s >= self.new_seq_off[c + 1] {
-                // A component with no recorded rounds cannot be
-                // verified (defensive; solves always record one).
-                return false;
-            }
-            self.heads.push(s);
-            self.merge
-                .push(Reverse((self.new_seq_data[s].to_bits(), c as u32)));
-        }
-        while let Some(&Reverse((mb, _))) = self.merge.peek() {
-            let m = f64::from_bits(mb);
-            let lim = m + 1e-9 * m.max(1.0);
-            while let Some(&Reverse((hb, c))) = self.merge.peek() {
-                if hb != mb {
-                    break;
-                }
-                self.merge.pop();
-                let c = c as usize;
-                self.heads[c] += 1;
-                if self.heads[c] < self.new_seq_off[c + 1] {
-                    self.merge
-                        .push(Reverse((self.new_seq_data[self.heads[c]].to_bits(), c as u32)));
-                }
-            }
-            if let Some(&Reverse((hb, _))) = self.merge.peek() {
-                if f64::from_bits(hb) <= lim {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -842,7 +425,7 @@ impl MaxMinState {
     }
 }
 
-/// The incremental fluid scheduler.
+/// The persistent fluid scheduler.
 ///
 /// Owns every buffer the event loop needs — the arrival min-heap, the
 /// active-flow list with its parallel rate vector, per-flow remaining
@@ -859,10 +442,6 @@ impl MaxMinState {
 #[derive(Debug, Default)]
 pub struct FluidScheduler {
     alloc: MaxMinScratch,
-    /// Bottleneck-component tracker: partitions each allocation,
-    /// re-solves only changed components, and proves the result equals
-    /// the global solve (or falls back to one).
-    inc: CompTracker,
     /// Pending arrivals, keyed (start, flow index) so simultaneous
     /// arrivals admit in index order.
     heap: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -872,10 +451,6 @@ pub struct FluidScheduler {
     /// Current rate of `active[k]`, kept in lockstep through
     /// compaction so unchanged steps can reuse it wholesale.
     rates: Vec<f64>,
-    /// Committed component id of `active[k]` at the last successful
-    /// allocation (`NO_COMP` for flows admitted since), in lockstep
-    /// with `active` through insertion and compaction.
-    prev_comp: Vec<u32>,
     remaining: Vec<f64>,
     finish: Vec<SimTime>,
     off: Vec<usize>,
@@ -904,7 +479,7 @@ impl FluidScheduler {
     /// depends on warmup state, and trace artifacts must stay a pure
     /// function of the workload.
     pub fn scratch_grows(&self) -> u64 {
-        self.grow_events + self.alloc.grow_events + self.inc.grow_events
+        self.grow_events + self.alloc.grow_events
     }
 
     /// Runs the fluid schedule with observation (see
@@ -973,7 +548,6 @@ impl FluidScheduler {
             self.heap.capacity(),
             self.active.capacity(),
             self.rates.capacity(),
-            self.prev_comp.capacity(),
             self.remaining.capacity(),
             self.finish.capacity(),
             self.off.capacity(),
@@ -1015,10 +589,6 @@ impl FluidScheduler {
         }
         self.active.clear();
         self.rates.clear();
-        self.prev_comp.clear();
-        // Each run is a fresh workload: cached component state from the
-        // previous run (if any) must not leak into this one.
-        self.inc.invalidate();
         self.remaining.clear();
         self.remaining.extend(flows.iter().map(|f| f.bytes.max(0.0)));
         self.finish.clear();
@@ -1048,7 +618,6 @@ impl FluidScheduler {
                     let pos = self.active.partition_point(|&a| (a as usize) < i);
                     self.active.insert(pos, i as u32);
                     self.rates.insert(pos, 0.0);
-                    self.prev_comp.insert(pos, NO_COMP);
                     set_changed = true;
                 }
             }
@@ -1076,15 +645,7 @@ impl FluidScheduler {
                     nodes: &self.nodes,
                     caps: &self.caps,
                 };
-                self.inc.allocate(
-                    &mut self.alloc,
-                    net,
-                    &self.active,
-                    csr,
-                    &mut self.rates,
-                    &mut self.prev_comp,
-                    rec,
-                );
+                self.alloc.solve(net, &self.active, csr, &mut self.rates, rec);
                 set_changed = false;
             } else {
                 // Nothing arrived or finished since the last solve:
@@ -1136,13 +697,11 @@ impl FluidScheduler {
                 } else {
                     self.active[w] = self.active[k];
                     self.rates[w] = self.rates[k];
-                    self.prev_comp[w] = self.prev_comp[k];
                     w += 1;
                 }
             }
             self.active.truncate(w);
             self.rates.truncate(w);
-            self.prev_comp.truncate(w);
             now = after;
             if cut_at.is_some() {
                 break;
@@ -1164,7 +723,6 @@ impl FluidScheduler {
             self.heap.capacity(),
             self.active.capacity(),
             self.rates.capacity(),
-            self.prev_comp.capacity(),
             self.remaining.capacity(),
             self.finish.capacity(),
             self.off.capacity(),

@@ -1,4 +1,4 @@
-//! Bit-for-bit equivalence between the incremental allocator/scheduler
+//! Bit-for-bit equivalence between the persistent allocator/scheduler
 //! (`flow::sched`, reached through the public entry points) and the
 //! retained reference oracle (`flow::reference`).
 //!
@@ -80,11 +80,10 @@ fn fluid_matches_reference_on_random_workloads() {
 #[test]
 fn fluid_matches_reference_on_churn_sequences() {
     // Interleaved arrival/departure churn: staggered per-flow slots
-    // mutate the active set one event at a time — exactly the shape the
-    // incremental component cache accelerates — so equivalence here is
-    // the load-bearing proof that reused cached rates are the oracle's
-    // bits. Full-struct equality covers rates-at-completion, finish
-    // nanoseconds, and completion order in one comparison.
+    // mutate the active set one event at a time, so nearly every event
+    // re-solves a multi-bottleneck active set through the generic fill
+    // on warm scratch. Full-struct equality covers rates-at-completion,
+    // finish nanoseconds, and completion order in one comparison.
     for seed in 0..250u64 {
         let mut rng = SimRng::new(120_000 + seed);
         let n_nodes = 2 + (seed % 13) as usize;

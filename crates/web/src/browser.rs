@@ -445,7 +445,7 @@ fn load_page_faulted_model(
 }
 
 /// The single model body behind every entry point: one timing model, one
-/// RNG draw order, two scheduling lanes (pooled incremental vs reference
+/// RNG draw order, two scheduling lanes (pooled persistent vs reference
 /// from-scratch) proven equivalent by the oracle suite.
 fn load_page_model(
     channel: &Channel,

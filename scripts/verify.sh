@@ -12,11 +12,10 @@
 #      counters (injected == retried + recovered + gave_up)
 #   5. perf smoke: quick flow benches + repro --bench-flow emitting
 #      BENCH_flow.json (fails on panic or non-finite output, never on
-#      speed thresholds); structural gates on the incremental
-#      scheduler: churn_mesh must reuse components at least once
-#      (incremental_per_run > 0), every warm class keeps
-#      allocs_per_step == 0, and full_fallback_per_run stays strictly
-#      below recomputations_per_run
+#      speed thresholds); structural gates on the scheduler: all six
+#      classes are present, every warm class keeps allocs_per_step == 0,
+#      and every mesh/churn class (not fast-path-eligible) runs the
+#      generic fill (fast_path_per_run < recomputations_per_run)
 #   6. establish smoke: quick establish benches + repro --bench-establish
 #      emitting BENCH_establish.json (same failure policy: panics and
 #      non-finite values only, never thresholds)
@@ -108,32 +107,30 @@ grep -q "fluid_scheduler/browser_64_optimized" "$obs_dir/bench_flow.txt"
 PTPERF_FLOWBENCH_RUNS=40 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench-flow --bench-out "$obs_dir/BENCH_flow.json" > "$obs_dir/bench_out.txt"
 check_finite "$obs_dir/BENCH_flow.json"
-# Incremental-scheduler structural gates (one class per JSON line):
-# the churn mesh must actually exercise component reuse, warm steps
-# must never grow the scratch, and closure-check fallbacks must stay
-# strictly below the recomputation count — a cache that always falls
-# back is a dead cache.
+# Scheduler structural gates (one class per JSON line): all six
+# classes report, warm steps never grow the scratch, and the
+# multi-bottleneck classes — which the single-bottleneck fast path
+# cannot cover — run the generic progressive fill.
 awk '
   /"name":/ {
+    classes++
     n = $0;   sub(/.*"name": "/, "", n);                    sub(/".*/, "", n)
     rc = $0;  sub(/.*"recomputations_per_run": /, "", rc);  sub(/[,}].*/, "", rc)
-    inc = $0; sub(/.*"incremental_per_run": /, "", inc);    sub(/[,}].*/, "", inc)
-    fb = $0;  sub(/.*"full_fallback_per_run": /, "", fb);   sub(/[,}].*/, "", fb)
+    fp = $0;  sub(/.*"fast_path_per_run": /, "", fp);       sub(/[,}].*/, "", fp)
     al = $0;  sub(/.*"allocs_per_step": /, "", al);         sub(/[,}].*/, "", al)
     if (al + 0 != 0) {
       printf "class %s allocates warm: allocs_per_step=%s\n", n, al > "/dev/stderr"
       bad = 1
     }
-    if (fb + 0 >= rc + 0) {
-      printf "class %s: full_fallback_per_run %s not below recomputations_per_run %s\n", \
-        n, fb, rc > "/dev/stderr"
+    if (n !~ /^(browser|capped)_/ && fp + 0 >= rc + 0) {
+      printf "class %s: fast_path_per_run %s not below recomputations_per_run %s\n", \
+        n, fp, rc > "/dev/stderr"
       bad = 1
     }
-    if (n == "churn_mesh") { seen_churn = 1; churn_inc = inc + 0 }
   }
   END {
-    if (!seen_churn || churn_inc <= 0) {
-      print "churn_mesh never took the incremental path" > "/dev/stderr"
+    if (classes != 6) {
+      printf "expected 6 flow classes, found %d\n", classes > "/dev/stderr"
       bad = 1
     }
     exit bad
