@@ -54,11 +54,6 @@ pub const COUNTERS: &[CounterDef] = &[
         doc: "subresources fetched across all page loads",
     },
     CounterDef {
-        key: "browser/state_fallback",
-        kind: CounterKind::Trace,
-        doc: "page loads that took the re-entrant (non-pooled) state path",
-    },
-    CounterDef {
         key: "events",
         kind: CounterKind::Trace,
         doc: "measurement units completed by an experiment shard",

@@ -25,7 +25,7 @@
 //! because every allocation the paper's workloads perform has a single
 //! bottleneck (one PT tunnel per page load) and takes the fast path.
 //! The original from-scratch progressive-filling implementation is
-//! retained in [`reference`] as an equivalence oracle;
+//! retained in [`mod@reference`] as an equivalence oracle;
 //! `crates/sim/tests/equivalence.rs` proves the two agree **bit for
 //! bit** (rates and completion times) on thousands of generated
 //! workloads, and the Criterion suite in `crates/bench/benches/flow.rs`

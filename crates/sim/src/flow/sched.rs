@@ -25,7 +25,6 @@ use std::collections::BinaryHeap;
 use ptperf_obs::{NullRecorder, Recorder};
 
 use super::{FairNetwork, FlowBatch, FlowDemand, FluidCompletion, NodeId};
-use crate::fault::FaultClock;
 use crate::time::{SimDuration, SimTime};
 
 /// Borrowed CSR view of a batch of flow demands: flow `f`'s
@@ -508,41 +507,6 @@ impl FluidScheduler {
         out: &mut Vec<FluidCompletion>,
         rec: &mut dyn Recorder,
     ) {
-        self.run_core(net, batch, None, out, rec);
-    }
-
-    /// [`run_recorded_into`](FluidScheduler::run_recorded_into) under a
-    /// [`FaultClock`]: the event loop consults the clock after choosing
-    /// each step, and when an unconsumed cut lands inside the step the
-    /// step is clamped to the cut's exact sim time, bytes drain up to
-    /// it, and the schedule stops there — every still-unfinished flow
-    /// (including ones not yet admitted) records the cut time as its
-    /// finish. Returns the cut time, or `None` when the schedule ran to
-    /// completion (the clock may then still hold cuts that land after
-    /// the last finish; they stay unconsumed).
-    ///
-    /// An exhausted or empty clock costs one pointer-compare branch per
-    /// step and *zero* floating-point work, so the fault-free event
-    /// order — and every result bit — is untouched.
-    pub fn run_faulted_recorded_into(
-        &mut self,
-        net: &FairNetwork,
-        batch: &FlowBatch,
-        clock: &mut FaultClock,
-        out: &mut Vec<FluidCompletion>,
-        rec: &mut dyn Recorder,
-    ) -> Option<SimTime> {
-        self.run_core(net, batch, Some(clock), out, rec)
-    }
-
-    fn run_core(
-        &mut self,
-        net: &FairNetwork,
-        batch: &FlowBatch,
-        mut clock: Option<&mut FaultClock>,
-        out: &mut Vec<FluidCompletion>,
-        rec: &mut dyn Recorder,
-    ) -> Option<SimTime> {
         let flows = batch.flows();
         let caps_before = [
             self.heap.capacity(),
@@ -598,11 +562,10 @@ impl FluidScheduler {
             Some(&Reverse((t, _))) => t,
             None => {
                 out.clear();
-                return None;
+                return;
             }
         };
         let mut set_changed = true;
-        let mut cut_at: Option<SimTime> = None;
         loop {
             // Admit every arrival due at or before `now`.
             while let Some(&Reverse((t, i))) = self.heap.peek() {
@@ -624,14 +587,6 @@ impl FluidScheduler {
             if self.active.is_empty() {
                 match self.heap.peek() {
                     Some(&Reverse((t, _))) => {
-                        // A cut inside the idle gap stops the schedule
-                        // before the next arrival ever admits.
-                        if let Some(cl) = clock.as_deref_mut() {
-                            if let Some(c) = cl.take_cut_at_or_before(t) {
-                                cut_at = Some(c.max(now));
-                                break;
-                            }
-                        }
                         now = t;
                         continue;
                     }
@@ -677,16 +632,7 @@ impl FluidScheduler {
 
             // Advance: drain bytes, mark completions, compact the
             // active list and its rates in lockstep.
-            let mut after = now + SimDuration::from_secs_f64(dt);
-            // A cut landing inside this step clamps it: bytes drain to
-            // the cut's exact sim time, then the schedule stops.
-            if let Some(cl) = clock.as_deref_mut() {
-                if let Some(c) = cl.take_cut_at_or_before(after) {
-                    after = c.max(now);
-                    dt = after.duration_since(now).as_secs_f64();
-                    cut_at = Some(after);
-                }
-            }
+            let after = now + SimDuration::from_secs_f64(dt);
             let mut w = 0usize;
             for k in 0..self.active.len() {
                 let i = self.active[k] as usize;
@@ -703,20 +649,6 @@ impl FluidScheduler {
             self.active.truncate(w);
             self.rates.truncate(w);
             now = after;
-            if cut_at.is_some() {
-                break;
-            }
-        }
-
-        // A fired cut truncates every still-unfinished flow — started
-        // or not — at the cut time, so the caller sees exactly where
-        // the fault landed.
-        if let Some(c) = cut_at {
-            for i in 0..flows.len() {
-                if self.remaining[i] > 1e-6 {
-                    self.finish[i] = c;
-                }
-            }
         }
 
         let caps_after = [
@@ -737,6 +669,5 @@ impl FluidScheduler {
 
         out.clear();
         out.extend(self.finish.iter().map(|&finish| FluidCompletion { finish }));
-        cut_at
     }
 }

@@ -39,7 +39,7 @@ pub mod topology;
 pub mod xfer;
 
 pub use fault::{
-    run_transfer, FaultBias, FaultClock, FaultConfig, FaultEvent, FaultKind, FaultKnobs, FaultPlan,
+    run_transfer, FaultBias, FaultConfig, FaultEvent, FaultKind, FaultKnobs, FaultPlan,
     FaultProfile, FaultRun, RetryPolicy, TransferSpec,
 };
 pub use flow::{fluid_schedule, fluid_schedule_recorded, maxmin_demo, maxmin_rates, maxmin_rates_recorded, FairNetwork, FlowBatch, FlowDemand, FlowNodes, FluidCompletion, FluidFlow, FluidScheduler, NodeId};

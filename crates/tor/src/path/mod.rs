@@ -5,7 +5,7 @@
 //!
 //! Picks resolve through the precomputed [`crate::index::ConsensusIndex`]
 //! ([`indexed`], the default) or the original full-scan oracle
-//! ([`reference`], retained for equivalence testing and benchmarking);
+//! ([`mod@reference`], retained for equivalence testing and benchmarking);
 //! the two are bit-for-bit interchangeable (`tests/path_equivalence.rs`).
 //! A [`PathSelector`] is built for reuse: [`PathSelector::reset`] clears
 //! guard state while keeping its buffers, so a persistent selector makes

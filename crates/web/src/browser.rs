@@ -9,16 +9,12 @@
 //! resource contributes visual weight when it finishes, so the index sits
 //! *below* the full load time — the paper's §5.4 observation.
 
-use std::cell::RefCell;
-
-use ptperf_obs::{obs_debug, NullRecorder, Recorder};
-use ptperf_sim::fault::{FaultClock, FaultEvent, FaultKind};
+use ptperf_obs::{obs_debug, Recorder};
 use ptperf_sim::flow::reference;
 use ptperf_sim::{FairNetwork, FlowBatch, FluidCompletion, FluidScheduler, SimDuration, SimRng, SimTime};
 
 use crate::channel::{Channel, Outcome};
 use crate::curl::PAGE_TIMEOUT;
-use crate::faults::FaultSession;
 use crate::website::Website;
 
 /// How many parallel connections the browser opens per origin (Chrome's
@@ -29,8 +25,7 @@ pub const BROWSER_PARALLELISM: usize = 6;
 /// completion buffer and a private [`FluidScheduler`], all owned
 /// together so one warm `PageScratch` makes an entire page load
 /// allocation-free. A per-worker copy lives inside the executor's
-/// `UnitScratch`; the legacy entry points fall back to a thread-local
-/// instance so every caller shares the same model body.
+/// `UnitScratch`; callers outside the executor hold their own.
 #[derive(Debug, Default)]
 pub struct PageScratch {
     net: FairNetwork,
@@ -59,12 +54,6 @@ impl PageScratch {
     pub fn uses(&self) -> u64 {
         self.uses
     }
-}
-
-thread_local! {
-    /// Scratch behind the legacy (non-pooled) entry points, so code
-    /// without an executor-provided `UnitScratch` still reuses buffers.
-    static PAGE_STATE: RefCell<PageScratch> = RefCell::new(PageScratch::new());
 }
 
 /// Result of one browser page load.
@@ -108,62 +97,14 @@ impl std::fmt::Display for BrowserError {
 
 impl std::error::Error for BrowserError {}
 
-/// Loads a full page through `channel`, selenium-style.
-pub fn load_page(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-) -> Result<PageLoad, BrowserError> {
-    load_page_with_timeout(channel, site, PAGE_TIMEOUT, rng)
-}
-
-/// [`load_page`] with observation: per-page counters and the fluid
-/// scheduler's step/recomputation counts flow into `rec`. The plain
-/// entry points delegate here with a no-op recorder, so traced and
-/// untraced loads run the identical model and draw the identical RNG
-/// sequence.
-pub fn load_page_traced(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Result<PageLoad, BrowserError> {
-    load_page_traced_with_timeout(channel, site, PAGE_TIMEOUT, rng, rec)
-}
-
-/// [`load_page`] with an explicit timeout.
-pub fn load_page_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-) -> Result<PageLoad, BrowserError> {
-    load_page_traced_with_timeout(channel, site, timeout, rng, &mut NullRecorder)
-}
-
-/// [`load_page_traced`] with an explicit timeout. Delegates to the
-/// pooled core through a thread-local [`PageScratch`]; re-entrant calls
-/// (a recorder that loads a page from inside `add`) fall back to a
-/// fresh scratch, counted as `browser/state_fallback`.
-pub fn load_page_traced_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Result<PageLoad, BrowserError> {
-    PAGE_STATE.with(|state| match state.try_borrow_mut() {
-        Ok(mut scratch) => load_page_model(channel, site, timeout, rng, rec, &mut scratch, false),
-        Err(_) => {
-            rec.add("browser/state_fallback", 1);
-            load_page_model(channel, site, timeout, rng, rec, &mut PageScratch::new(), false)
-        }
-    })
-}
-
-/// [`load_page_traced`] against a caller-owned [`PageScratch`] — the
-/// executor threads one per worker so every page load after the first
-/// reuses the same network, batch, completion and scheduler buffers.
+/// Loads a full page through `channel`, selenium-style, cut at
+/// [`PAGE_TIMEOUT`]. Per-page counters and the fluid scheduler's
+/// step/recomputation counts flow into `rec`; a
+/// [`NullRecorder`](ptperf_obs::NullRecorder) runs the identical model
+/// and draws the identical RNG sequence. The caller-owned `scratch` —
+/// the executor threads one per worker — lets every page load after the
+/// first reuse the same network, batch, completion and scheduler
+/// buffers.
 pub fn load_page_pooled(
     channel: &Channel,
     site: &Website,
@@ -171,19 +112,7 @@ pub fn load_page_pooled(
     rec: &mut dyn Recorder,
     scratch: &mut PageScratch,
 ) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, PAGE_TIMEOUT, rng, rec, scratch, false)
-}
-
-/// [`load_page_pooled`] with an explicit timeout.
-pub fn load_page_pooled_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, timeout, rng, rec, scratch, false)
+    load_page_model(channel, site, rng, rec, scratch, false)
 }
 
 /// The retained allocating lane: same model body, but every call builds
@@ -198,264 +127,21 @@ pub fn load_page_reference(
     rng: &mut SimRng,
     rec: &mut dyn Recorder,
 ) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, PAGE_TIMEOUT, rng, rec, &mut PageScratch::new(), true)
+    load_page_model(channel, site, rng, rec, &mut PageScratch::new(), true)
 }
 
-/// [`load_page_pooled`] through a [`FaultSession`]: off sessions
-/// delegate to the plain pooled model bit-for-bit; active sessions
-/// drive the sub-resource wave through
-/// [`FluidScheduler::run_faulted_recorded_into`] under a [`FaultClock`]
-/// built from the plan, so injected events cut the fluid schedule at
-/// exact sim times — and each cut is then stalled through, retried with
-/// backoff, or declared terminal per the session's retry policy.
-pub fn load_page_faulted(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    faults: &mut FaultSession,
-) -> Result<PageLoad, BrowserError> {
-    load_page_faulted_with_timeout(channel, site, PAGE_TIMEOUT, rng, rec, scratch, faults)
-}
-
-/// [`load_page_faulted`] with an explicit timeout.
-pub fn load_page_faulted_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    faults: &mut FaultSession,
-) -> Result<PageLoad, BrowserError> {
-    if !faults.is_active() {
-        return load_page_model(channel, site, timeout, rng, rec, scratch, false);
-    }
-    load_page_faulted_model(channel, site, timeout, rec, scratch, faults)
-}
-
-/// The faulted model body. Mirrors `load_page_model`'s timing shape but
-/// sources every failure from the session's fault plan instead of the
-/// measurement RNG — which it therefore never touches.
-fn load_page_faulted_model(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    faults: &mut FaultSession,
-) -> Result<PageLoad, BrowserError> {
-    if channel.max_parallel_streams < 2 {
-        obs_debug!(
-            "browser: transport supports {} stream(s), needs 2 — page load rejected",
-            channel.max_parallel_streams
-        );
-        return Err(BrowserError::ParallelismUnsupported {
-            supported: channel.max_parallel_streams,
-            required: 2,
-        });
-    }
-    rec.add("browser/pages", 1);
-    rec.add("browser/resources", site.resources.len() as u64);
-    if scratch.uses > 0 {
-        ptperf_obs::perf::incr_browser_scratch_hits();
-    }
-    scratch.uses += 1;
-    let parallelism = BROWSER_PARALLELISM.min(channel.max_parallel_streams);
-
-    // The plan's timeline covers the whole fault-free transfer (main
-    // body + sub-resources at the shared effective rate).
-    let res_bytes: f64 = site.resources.iter().map(|&b| b as f64).sum();
-    let est_secs = channel.transfer_time(site.main_size).as_secs_f64()
-        + res_bytes / channel.effective_rate().max(1.0);
-    let plan = faults.plan(&FaultSession::knobs(channel, est_secs));
-    let policy = faults.policy();
-
-    // Connect phase: degradation applies up front; each refusal burns
-    // one retry (full re-establishment + backoff) or fails the page.
-    let mut attempt = 0u32;
-    let mut slow = 1.0f64;
-    let mut setup_extra = SimDuration::ZERO;
-    for e in plan.events().iter().filter(|e| e.at <= 0.0) {
-        match e.kind {
-            FaultKind::Degrade(f) => {
-                faults.count(1, 0, 1, 0);
-                slow *= f.max(1.0);
-            }
-            FaultKind::ConnectRefusal => {
-                if attempt >= policy.max_retries {
-                    faults.count(1, 0, 0, 1);
-                    return Ok(PageLoad {
-                        main_done: timeout,
-                        total: timeout,
-                        speed_index: timeout,
-                        outcome: Outcome::Failed,
-                    });
-                }
-                faults.count(1, 1, 0, 0);
-                setup_extra += channel.setup + policy.backoff(attempt);
-                attempt += 1;
-            }
-            _ => {}
-        }
-    }
-
-    // Phase 1: the default page, exactly like curl (degraded if the
-    // plan says the epoch is degraded).
-    let main_ttfb = channel.setup
-        + setup_extra
-        + channel.stream_open
-        + channel.per_request_extra
-        + channel.request_rtt
-        + site.server_processing;
-    let main_done = main_ttfb + channel.transfer_time(site.main_size).mul_f64(slow);
-    if main_done >= timeout {
-        return Ok(PageLoad {
-            main_done: timeout,
-            total: timeout,
-            speed_index: timeout,
-            outcome: Outcome::Partial,
-        });
-    }
-
-    // Phase 2: the sub-resource wave, identical to the plain model —
-    // then driven under the fault clock.
-    scratch.net.clear();
-    let tunnel = scratch.net.add_node(channel.effective_rate() / slow.max(1.0));
-    let per_req = channel.stream_open + channel.per_request_extra + channel.request_rtt;
-    scratch.batch.clear();
-    for (i, &bytes) in site.resources.iter().enumerate() {
-        let wave = (i / parallelism) as u64;
-        let start = SimTime::ZERO + per_req * wave.min(20);
-        scratch
-            .batch
-            .push(start, bytes as f64, &[tunnel], None, per_req);
-    }
-
-    // Baseline run (empty clock = bit-identical to the plain wave) to
-    // learn where the fault-free wave ends, then map the plan's
-    // mid-transfer fractions onto it as absolute cut times.
-    let mut clock = FaultClock::empty();
-    scratch.sched.run_faulted_recorded_into(
-        &scratch.net,
-        &scratch.batch,
-        &mut clock,
-        &mut scratch.completions,
-        rec,
-    );
-    let mut base_last = SimDuration::ZERO;
-    for c in &scratch.completions {
-        let done = c.finish.duration_since(SimTime::ZERO);
-        if done > base_last {
-            base_last = done;
-        }
-    }
-
-    let mid: Vec<FaultEvent> = plan.mid_events().copied().collect();
-    let mut penalty = SimDuration::ZERO;
-    if !mid.is_empty() && base_last > SimDuration::ZERO {
-        let cuts: Vec<SimTime> = mid
-            .iter()
-            .map(|e| SimTime::ZERO + base_last.mul_f64(e.at.clamp(0.0, 1.0)))
-            .collect();
-        let mut clock = FaultClock::new(cuts);
-        let mut next_event = 0usize;
-        loop {
-            let cut = scratch.sched.run_faulted_recorded_into(
-                &scratch.net,
-                &scratch.batch,
-                &mut clock,
-                &mut scratch.completions,
-                rec,
-            );
-            let Some(cut) = cut else { break };
-            let offset = cut.duration_since(SimTime::ZERO);
-            let e = mid[next_event.min(mid.len() - 1)];
-            next_event += 1;
-            match e.kind {
-                FaultKind::Stall(d) => {
-                    faults.count(1, 0, 1, 0);
-                    penalty += d;
-                }
-                FaultKind::Degrade(f) => {
-                    faults.count(1, 0, 1, 0);
-                    // Everything after the cut runs `f`× slower.
-                    penalty += base_last.saturating_sub(offset).mul_f64((f.max(1.0)) - 1.0);
-                }
-                FaultKind::Abort | FaultKind::Churn | FaultKind::ConnectRefusal => {
-                    if attempt >= policy.max_retries {
-                        faults.count(1, 0, 0, 1);
-                        // The page dies where the cut landed.
-                        let total = (main_done + offset + penalty).min(timeout);
-                        return Ok(PageLoad {
-                            main_done,
-                            total,
-                            speed_index: total,
-                            outcome: Outcome::Partial,
-                        });
-                    }
-                    faults.count(1, 1, 0, 0);
-                    let cost = if matches!(e.kind, FaultKind::Abort) {
-                        channel.stream_open + channel.request_rtt
-                    } else {
-                        channel.setup
-                    };
-                    penalty += cost + policy.backoff(attempt);
-                    if !policy.resume {
-                        // Progress up to the cut is re-downloaded.
-                        penalty += offset;
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    let total = main_done + base_last + penalty;
-    if total >= timeout {
-        return Ok(PageLoad {
-            main_done,
-            total: timeout,
-            speed_index: timeout,
-            outcome: Outcome::Partial,
-        });
-    }
-
-    // Speed index over the final (fault-free-shaped) completions, as in
-    // the plain model; fault penalties delay the tail, not the weights.
-    let res_total: f64 = site.resources.iter().map(|&b| b as f64).sum();
-    let mut si = 0.35 * main_done.as_secs_f64();
-    if res_total > 0.0 {
-        for (i, &bytes) in site.resources.iter().enumerate() {
-            let w = 0.65 * bytes as f64 / res_total;
-            let done = scratch.completions[i].finish.duration_since(SimTime::ZERO);
-            si += w * (main_done + done).as_secs_f64();
-        }
-    } else {
-        si += 0.65 * main_done.as_secs_f64();
-    }
-
-    Ok(PageLoad {
-        main_done,
-        total,
-        speed_index: SimDuration::from_secs_f64(si),
-        outcome: Outcome::Complete,
-    })
-}
-
-/// The single model body behind every entry point: one timing model, one
+/// The single model body behind both entry points: one timing model, one
 /// RNG draw order, two scheduling lanes (pooled persistent vs reference
 /// from-scratch) proven equivalent by the oracle suite.
 fn load_page_model(
     channel: &Channel,
     site: &Website,
-    timeout: SimDuration,
     rng: &mut SimRng,
     rec: &mut dyn Recorder,
     scratch: &mut PageScratch,
     use_reference: bool,
 ) -> Result<PageLoad, BrowserError> {
+    let timeout = PAGE_TIMEOUT;
     if channel.max_parallel_streams < 2 {
         obs_debug!(
             "browser: transport supports {} stream(s), needs 2 — page load rejected",
@@ -593,6 +279,7 @@ fn load_page_model(
 mod tests {
     use super::*;
     use crate::website::SiteList;
+    use ptperf_obs::{MemoryRecorder, NullRecorder};
     use ptperf_sim::TransferModel;
 
     fn channel(rate: f64) -> Channel {
@@ -603,12 +290,17 @@ mod tests {
         Website::generate(SiteList::Tranco, 3)
     }
 
+    /// One unrecorded page load on a fresh scratch.
+    fn load(ch: &Channel, s: &Website, rng: &mut SimRng) -> Result<PageLoad, BrowserError> {
+        load_page_pooled(ch, s, rng, &mut NullRecorder, &mut PageScratch::new())
+    }
+
     #[test]
     fn page_load_exceeds_curl_fetch() {
         let mut rng = SimRng::new(1);
         let ch = channel(1.0e6);
         let s = site();
-        let page = load_page(&ch, &s, &mut rng).unwrap();
+        let page = load(&ch, &s, &mut rng).unwrap();
         let mut rng2 = SimRng::new(1);
         let curl = crate::curl::fetch(&ch, &s, &mut rng2);
         assert!(page.total > curl.total, "browser must load more than curl");
@@ -618,7 +310,7 @@ mod tests {
     #[test]
     fn speed_index_below_total_load() {
         let mut rng = SimRng::new(2);
-        let page = load_page(&channel(1.0e6), &site(), &mut rng).unwrap();
+        let page = load(&channel(1.0e6), &site(), &mut rng).unwrap();
         assert!(
             page.speed_index < page.total,
             "SI {} vs total {}",
@@ -633,7 +325,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         let mut ch = channel(1.0e6);
         ch.max_parallel_streams = 1;
-        let err = load_page(&ch, &site(), &mut rng).unwrap_err();
+        let err = load(&ch, &site(), &mut rng).unwrap_err();
         assert!(matches!(err, BrowserError::ParallelismUnsupported { .. }));
     }
 
@@ -641,8 +333,8 @@ mod tests {
     fn faster_channel_loads_faster() {
         let mut a = SimRng::new(4);
         let mut b = SimRng::new(4);
-        let fast = load_page(&channel(3.0e6), &site(), &mut a).unwrap();
-        let slow = load_page(&channel(100.0e3), &site(), &mut b).unwrap();
+        let fast = load(&channel(3.0e6), &site(), &mut a).unwrap();
+        let slow = load(&channel(100.0e3), &site(), &mut b).unwrap();
         assert!(slow.total > fast.total);
         assert!(slow.speed_index > fast.speed_index);
     }
@@ -650,11 +342,10 @@ mod tests {
     #[test]
     fn timeout_declares_partial() {
         let mut rng = SimRng::new(5);
-        let page =
-            load_page_with_timeout(&channel(5_000.0), &site(), SimDuration::from_secs(20), &mut rng)
-                .unwrap();
+        // ~140 s for the default page alone, past the 120 s timeout.
+        let page = load(&channel(700.0), &site(), &mut rng).unwrap();
         assert_eq!(page.outcome, Outcome::Partial);
-        assert_eq!(page.total, SimDuration::from_secs(20));
+        assert_eq!(page.total, PAGE_TIMEOUT);
     }
 
     #[test]
@@ -662,7 +353,7 @@ mod tests {
         let mut rng = SimRng::new(6);
         let mut ch = channel(1.0e6);
         ch.connect_failure_p = 1.0;
-        let page = load_page(&ch, &site(), &mut rng).unwrap();
+        let page = load(&ch, &site(), &mut rng).unwrap();
         assert_eq!(page.outcome, Outcome::Failed);
     }
 
@@ -672,9 +363,12 @@ mod tests {
         let s = site();
         let mut rng_a = SimRng::new(8);
         let mut rng_b = SimRng::new(8);
-        let mut rec = ptperf_obs::MemoryRecorder::new();
-        let plain = load_page(&ch, &s, &mut rng_a).unwrap();
-        let traced = load_page_traced(&ch, &s, &mut rng_b, &mut rec).unwrap();
+        let mut rec = MemoryRecorder::new();
+        let plain =
+            load_page_pooled(&ch, &s, &mut rng_a, &mut NullRecorder, &mut PageScratch::new())
+                .unwrap();
+        let traced =
+            load_page_pooled(&ch, &s, &mut rng_b, &mut rec, &mut PageScratch::new()).unwrap();
         assert_eq!(plain.total, traced.total);
         assert_eq!(plain.speed_index, traced.speed_index);
         assert_eq!(plain.outcome, traced.outcome);
@@ -695,24 +389,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_reference_lanes_match_legacy_bitwise() {
+    fn pooled_lane_matches_reference_bitwise() {
         let ch = channel(1.2e6);
         let s = site();
         let mut scratch = PageScratch::new();
         for round in 0..3 {
             let mut rng_a = SimRng::new(40 + round);
             let mut rng_b = SimRng::new(40 + round);
-            let mut rng_c = SimRng::new(40 + round);
-            let legacy = load_page(&ch, &s, &mut rng_a).unwrap();
             let pooled =
-                load_page_pooled(&ch, &s, &mut rng_b, &mut NullRecorder, &mut scratch).unwrap();
-            let refr = load_page_reference(&ch, &s, &mut rng_c, &mut NullRecorder).unwrap();
-            for other in [pooled, refr] {
-                assert_eq!(legacy.main_done, other.main_done);
-                assert_eq!(legacy.total, other.total);
-                assert_eq!(legacy.speed_index, other.speed_index);
-                assert_eq!(legacy.outcome, other.outcome);
-            }
+                load_page_pooled(&ch, &s, &mut rng_a, &mut NullRecorder, &mut scratch).unwrap();
+            let refr = load_page_reference(&ch, &s, &mut rng_b, &mut NullRecorder).unwrap();
+            assert_eq!(pooled.main_done, refr.main_done);
+            assert_eq!(pooled.total, refr.total);
+            assert_eq!(pooled.speed_index, refr.speed_index);
+            assert_eq!(pooled.outcome, refr.outcome);
         }
         assert_eq!(scratch.uses(), 3);
     }
@@ -738,138 +428,13 @@ mod tests {
     }
 
     #[test]
-    fn off_session_faulted_load_matches_pooled_bitwise() {
-        let mut ch = channel(800_000.0);
-        ch.connect_failure_p = 0.1;
-        ch.hazard_per_sec = 0.02;
-        let s = site();
-        let mut scratch_a = PageScratch::new();
-        let mut scratch_b = PageScratch::new();
-        let mut off = FaultSession::off();
-        for round in 0..5 {
-            let mut rng_a = SimRng::new(300 + round);
-            let mut rng_b = SimRng::new(300 + round);
-            let plain =
-                load_page_pooled(&ch, &s, &mut rng_a, &mut NullRecorder, &mut scratch_a).unwrap();
-            let faulted = load_page_faulted(
-                &ch,
-                &s,
-                &mut rng_b,
-                &mut NullRecorder,
-                &mut scratch_b,
-                &mut off,
-            )
-            .unwrap();
-            assert_eq!(plain.main_done, faulted.main_done);
-            assert_eq!(plain.total, faulted.total);
-            assert_eq!(plain.speed_index, faulted.speed_index);
-            assert_eq!(plain.outcome, faulted.outcome);
-        }
-    }
-
-    #[test]
-    fn faulted_pages_classify_and_stay_bounded() {
-        use ptperf_sim::fault::{FaultBias, FaultProfile};
-        let mut ch = channel(150_000.0);
-        ch.connect_failure_p = 0.3;
-        ch.hazard_per_sec = 0.1;
-        let s = site();
-        let mut scratch = PageScratch::new();
-        let mut rng = SimRng::new(77);
-        let mut session = FaultSession::active(
-            FaultProfile::aggressive(),
-            FaultBias::balanced(),
-            SimRng::new(7_700),
-        );
-        for _ in 0..30 {
-            let page = load_page_faulted(
-                &ch,
-                &s,
-                &mut rng,
-                &mut NullRecorder,
-                &mut scratch,
-                &mut session,
-            )
-            .unwrap();
-            assert!(page.total <= PAGE_TIMEOUT);
-            assert!(matches!(
-                page.outcome,
-                Outcome::Complete | Outcome::Partial | Outcome::Failed
-            ));
-        }
-        assert!(session.stats().injected > 0);
-        assert!(session.stats().consistent());
-    }
-
-    #[test]
-    fn scheduler_cut_lands_at_exact_sim_time() {
-        // Drive the wave through the fault clock directly and check the
-        // cut truncates unfinished flows at precisely the cut time.
-        let ch = channel(500_000.0);
-        let s = site();
-        let mut scratch = PageScratch::new();
-        let mut rng = SimRng::new(90);
-        // Warm baseline through the plain path.
-        load_page_pooled(&ch, &s, &mut rng, &mut NullRecorder, &mut scratch).unwrap();
-        let base: Vec<SimTime> = scratch.completions.iter().map(|c| c.finish).collect();
-        let last = base.iter().copied().max().unwrap();
-        let cut_t = SimTime::ZERO
-            + last.duration_since(SimTime::ZERO).mul_f64(0.5);
-        let mut clock = FaultClock::new(vec![cut_t]);
-        let cut = scratch.sched.run_faulted_recorded_into(
-            &scratch.net,
-            &scratch.batch,
-            &mut clock,
-            &mut scratch.completions,
-            &mut NullRecorder,
-        );
-        assert_eq!(cut, Some(cut_t), "cut must land at the exact sim time");
-        let mut truncated = 0;
-        for (c, b) in scratch.completions.iter().zip(&base) {
-            if *b <= cut_t {
-                // Drained (and delivered) before the cut: untouched.
-                assert_eq!(c.finish, *b, "pre-cut completions must be untouched");
-            } else {
-                // Still in flight: truncated at the cut (or drained in
-                // the clamped step, keeping its latency tail ≤ plain).
-                assert!(c.finish >= cut_t && c.finish <= *b, "cut must bound the finish");
-                if c.finish == cut_t {
-                    truncated += 1;
-                }
-            }
-        }
-        assert!(truncated > 0, "some flow must truncate at the cut");
-    }
-
-    #[test]
-    fn empty_fault_clock_is_bit_identical_to_plain_run() {
-        let ch = channel(700_000.0);
-        let s = site();
-        let mut scratch = PageScratch::new();
-        let mut rng = SimRng::new(91);
-        load_page_pooled(&ch, &s, &mut rng, &mut NullRecorder, &mut scratch).unwrap();
-        let plain: Vec<SimTime> = scratch.completions.iter().map(|c| c.finish).collect();
-        let mut clock = FaultClock::empty();
-        let cut = scratch.sched.run_faulted_recorded_into(
-            &scratch.net,
-            &scratch.batch,
-            &mut clock,
-            &mut scratch.completions,
-            &mut NullRecorder,
-        );
-        assert_eq!(cut, None);
-        let faulted: Vec<SimTime> = scratch.completions.iter().map(|c| c.finish).collect();
-        assert_eq!(plain, faulted, "empty clock must not perturb the schedule");
-    }
-
-    #[test]
     fn parallelism_beats_serial_for_many_resources() {
         // With 6-way parallelism and per-request latency, total should be
         // far below the serial sum of per-resource times.
         let mut rng = SimRng::new(7);
         let ch = channel(2.0e6);
         let s = site();
-        let page = load_page(&ch, &s, &mut rng).unwrap();
+        let page = load(&ch, &s, &mut rng).unwrap();
         let serial: f64 = s
             .resources
             .iter()

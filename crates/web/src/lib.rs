@@ -29,13 +29,13 @@ pub mod streaming;
 pub mod website;
 
 pub use browser::{
-    load_page, load_page_faulted, load_page_pooled, load_page_reference, load_page_traced,
-    BrowserError, PageLoad, PageScratch, BROWSER_PARALLELISM,
+    load_page_pooled, load_page_reference, BrowserError, PageLoad, PageScratch,
+    BROWSER_PARALLELISM,
 };
 pub use channel::{Channel, Outcome};
 pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};
 pub use faults::{FaultSession, FaultStats};
 pub use http::{Request as HttpRequest, Response as HttpResponse};
 pub use filedl::{download, download_faulted, Download, ReliabilityCounts, FILE_SIZES, FILE_TIMEOUT};
-pub use streaming::{play, play_faulted, MediaStream, StreamingSession};
+pub use streaming::{play, MediaStream, StreamingSession};
 pub use website::{SiteCategory, SiteList, Website};

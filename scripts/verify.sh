@@ -2,7 +2,9 @@
 # Tier-1 verification gate: everything must pass before a commit lands.
 #   1. release build of the whole workspace (all targets)
 #   2. full workspace test suite
-#   3. clippy with warnings promoted to errors
+#   3. clippy with warnings promoted to errors, then strict rustdoc
+#      (every intra-doc link must resolve: a doc that names a deleted
+#      item fails here)
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
 #      per-PT phase histograms, finite quantiles) and the Chrome-trace
@@ -49,6 +51,9 @@ cargo test --workspace -q
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== repro observability smoke (fig6) =="
 obs_dir="$(mktemp -d)"

@@ -28,7 +28,10 @@ const ALL_FAMILIES: [&str; 13] = [
 
 /// The families whose units drive the fault lane (file downloads and
 /// the snowflake curl series); the rest stay fault-free even with a
-/// plan, by design, and are covered by the Off assertions.
+/// plan, by design — pinned by
+/// `fault_plan_changes_fault_driven_renders_but_not_the_off_lane`,
+/// which requires their renders and traces under a plan to equal the
+/// Off lane's.
 const FAULT_DRIVEN: [&str; 3] = ["fig8a", "fig5", "fig10a"];
 
 const SEED: u64 = 11;
@@ -143,4 +146,18 @@ fn fault_plan_changes_fault_driven_renders_but_not_the_off_lane() {
     // And turning the plan back off restores the exact original render.
     let off_again = run(&off_scenario(), "fig8a", &Parallelism::sequential());
     assert_eq!(off.text, off_again.text);
+
+    // Every other family never consults the fault lane: under a plan its
+    // render and its trace equal the Off lane's byte for byte.
+    let traced = Parallelism::sequential().with_recording(Record::Trace);
+    for name in ALL_FAMILIES.iter().filter(|n| !FAULT_DRIVEN.contains(n)) {
+        let off = run(&off_scenario(), name, &traced);
+        let on = run(&on_scenario(), name, &traced);
+        assert_eq!(off.text, on.text, "{name}: a fault plan changed the render");
+        assert_eq!(
+            trace_jsonl(&[off]),
+            trace_jsonl(&[on]),
+            "{name}: a fault plan changed the trace"
+        );
+    }
 }
