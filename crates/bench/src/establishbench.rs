@@ -58,7 +58,8 @@ pub struct ClassResult {
     pub name: &'static str,
     /// Consensus size (relays, including registered bridges).
     pub relays: usize,
-    /// Weighted picks per establish (sampled guards + circuit roles).
+    /// Weighted picks per establish (resolved sampled guards + circuit
+    /// roles).
     pub picks_per_establish: f64,
     /// Fraction of picks the indexed fast path resolved without a scan.
     pub index_pick_fraction: f64,
@@ -394,11 +395,10 @@ mod tests {
         assert_eq!(r.name, "vanilla_600");
         assert!(r.relays >= 600);
         assert!(r.picks_per_establish > 0.0);
-        // Guard pre-sampling's growing exclude sets exceed the ≤2-id
-        // fast window by design, so only the early-sample and circuit
-        // picks resolve on the index; the rest take the exact scan.
-        // (The counters are process-wide, so under parallel tests only
-        // loose bounds are meaningful.)
+        // The lazy guard sample resolves only the first guard, so an
+        // establish makes three picks, all within the index's ≤2-id
+        // exclude window. (The counters are process-wide, so under
+        // parallel tests only loose bounds are meaningful.)
         assert!(
             r.index_pick_fraction > 0.0 && r.index_pick_fraction <= 1.0,
             "index fraction {}",

@@ -63,6 +63,11 @@ pub struct ClassIndex {
     /// `prefix[i] = fl(prefix[i-1] + bandwidth[i])`; `prefix[k-1]` equals
     /// the reference's full filtered sum bit-for-bit.
     pub prefix: Vec<f64>,
+    /// How many members have `bandwidth > 0`. With finite, non-negative
+    /// bandwidths, a sample that excludes fewer than this many members
+    /// still has a positive total, so its next pick surely draws once
+    /// (the guard sampler's deferral precondition, `path::PathSelector`).
+    pub positive: usize,
     /// Position of relay id `r` within this class, or `u32::MAX` when the
     /// relay is not a member. Indexed by `RelayId::0` (relay ids equal
     /// their consensus index).
@@ -75,6 +80,7 @@ impl ClassIndex {
         let mut bandwidth = Vec::new();
         let mut prefix = Vec::new();
         let mut pos = vec![ABSENT; relays.len()];
+        let mut positive = 0;
         let mut running = 0.0f64;
         for r in relays {
             if !class.matches(r) {
@@ -83,6 +89,7 @@ impl ClassIndex {
             pos[r.id.0 as usize] = ids.len() as u32;
             ids.push(r.id);
             bandwidth.push(r.bandwidth_bps);
+            positive += usize::from(r.bandwidth_bps > 0.0);
             running += r.bandwidth_bps;
             prefix.push(running);
         }
@@ -90,6 +97,7 @@ impl ClassIndex {
             ids,
             bandwidth,
             prefix,
+            positive,
             pos,
         }
     }
@@ -180,6 +188,8 @@ mod tests {
             // prefix tail is bit-identical to the reference's filtered sum.
             let reference_sum: f64 = members.iter().map(|r| r.bandwidth_bps).sum();
             assert_eq!(ci.prefix[ci.len() - 1].to_bits(), reference_sum.to_bits());
+            let positive = members.iter().filter(|r| r.bandwidth_bps > 0.0).count();
+            assert_eq!(ci.positive, positive);
             // Non-members have no position.
             for r in c.relays() {
                 if !class.matches(r) {

@@ -109,7 +109,10 @@ pub fn weighted_pick_with_u(
     pick_inner(consensus, class, exclude, scratch, &mut || u)
 }
 
-fn pick_inner(
+/// The pick behind [`weighted_pick`] and [`weighted_pick_with_u`], with
+/// the draw supplied by `next_u`, which is called at most once, exactly
+/// when [`weighted_pick`] would consume an RNG draw.
+pub(super) fn pick_inner(
     consensus: &Consensus,
     class: FilterClass,
     exclude: &[RelayId],

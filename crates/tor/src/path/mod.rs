@@ -118,14 +118,44 @@ pub enum PickMode {
 /// current primary across circuits ("for a client, the guard node does
 /// not change often", §4.2.1). Marking a guard down fails over to the
 /// next sampled guard.
+///
+/// # Lazy guard sample
+///
+/// The first selection takes all [`SAMPLED_GUARDS`] uniform draws of
+/// the sample, in order, at once, but sampled guard *j* — the weighted
+/// pick of draw *j* with guards `0..j` excluded — is resolved only when
+/// something needs it: a selection, a failover past guards marked down,
+/// or an accessor. A client that never fails over resolves one guard.
+///
+/// Deferring a pick past its draw is bit-exact only when the pick
+/// surely takes exactly one draw. That holds when the consensus index
+/// is exact ([`ConsensusIndex::exact_ok`]: finite, non-negative
+/// bandwidths) and the guard class has at least [`SAMPLED_GUARDS`]
+/// members with positive bandwidth ([`ClassIndex::positive`]): after
+/// *j* < [`SAMPLED_GUARDS`] picks at most *j* of them are excluded, so
+/// the exact filtered total is > 0 and the pick draws once. Otherwise
+/// each guard is resolved as soon as its draw is taken, stopping at the
+/// first pick that finds no eligible guard (and so takes no draw).
+///
+/// A sample resolves against the consensus passed to the call that
+/// needs it: pass the same consensus until the next
+/// [`reset`](Self::reset) or [`rotate_guard`](Self::rotate_guard).
+///
+/// [`ConsensusIndex::exact_ok`]: crate::index::ConsensusIndex::exact_ok
+/// [`ClassIndex::positive`]: crate::index::ClassIndex::positive
 #[derive(Debug)]
 pub struct PathSelector {
     config: PathConfig,
-    sampled_guards: Vec<RelayId>,
+    /// The sample's draws in draw order; read only by a deferred sample.
+    draws: [f64; SAMPLED_GUARDS],
+    /// The resolved prefix of the sample is `guards[..resolved]`.
+    guards: [RelayId; SAMPLED_GUARDS],
+    resolved: usize,
+    /// Size of the current sample, resolved or not (0 before sampling).
+    sample_len: usize,
     down: Vec<RelayId>,
     mode: PickMode,
     scratch: PickScratch,
-    vec_grows: u64,
 }
 
 impl PathSelector {
@@ -138,23 +168,23 @@ impl PathSelector {
     pub fn with_config(config: PathConfig) -> Self {
         PathSelector {
             config,
-            sampled_guards: Vec::new(),
+            draws: [0.0; SAMPLED_GUARDS],
+            guards: [RelayId(0); SAMPLED_GUARDS],
+            resolved: 0,
+            sample_len: 0,
             down: Vec::new(),
             mode: PickMode::default(),
             scratch: PickScratch::new(),
-            vec_grows: 0,
         }
     }
 
     /// Reconfigures the selector for a fresh client, retaining buffer
     /// capacity: guard state is dropped (the next selection resamples, so
     /// a reused selector draws exactly like a freshly constructed one)
-    /// while the sampled-guard vector and pick scratch keep their
-    /// allocations.
+    /// while the pick scratch keeps its allocation.
     pub fn reset(&mut self, config: PathConfig) {
         self.config = config;
-        self.sampled_guards.clear();
-        self.down.clear();
+        self.rotate_guard();
     }
 
     /// Switches the pick implementation (selections are identical either
@@ -172,28 +202,37 @@ impl PathSelector {
     /// allocation proxy for benches; the delta is 0 once reuse reaches
     /// steady state.
     pub fn scratch_grows(&self) -> u64 {
-        self.scratch.grows() + self.vec_grows
+        self.scratch.grows()
     }
 
     /// The guard this client is currently pinned or settled on, if any:
-    /// the pin, else the first sampled guard not marked down.
-    pub fn current_guard(&self) -> Option<RelayId> {
-        self.config.fixed_guard.or_else(|| {
-            self.sampled_guards
-                .iter()
-                .find(|g| !self.down.contains(g))
-                .copied()
-        })
+    /// the pin, else the first sampled guard not marked down (resolving
+    /// the sample through it).
+    pub fn current_guard(&mut self, consensus: &Consensus) -> Option<RelayId> {
+        if self.config.fixed_guard.is_some() {
+            return self.config.fixed_guard;
+        }
+        for j in 0..SAMPLED_GUARDS {
+            self.resolve_through(consensus, j + 1);
+            let g = *self.guards[..self.resolved].get(j)?;
+            if !self.down.contains(&g) {
+                return Some(g);
+            }
+        }
+        None
     }
 
-    /// The client's sampled guard list (empty until the first selection).
-    pub fn sampled_guards(&self) -> &[RelayId] {
-        &self.sampled_guards
+    /// The client's sampled guard list, fully resolved (empty until the
+    /// first selection).
+    pub fn sampled_guards(&mut self, consensus: &Consensus) -> &[RelayId] {
+        self.resolve_through(consensus, SAMPLED_GUARDS);
+        &self.guards[..self.resolved]
     }
 
     /// The primary guards: the first [`PRIMARY_GUARDS`] of the sample.
-    pub fn primary_guards(&self) -> &[RelayId] {
-        &self.sampled_guards[..self.sampled_guards.len().min(PRIMARY_GUARDS)]
+    pub fn primary_guards(&mut self, consensus: &Consensus) -> &[RelayId] {
+        self.resolve_through(consensus, PRIMARY_GUARDS);
+        &self.guards[..self.resolved.min(PRIMARY_GUARDS)]
     }
 
     /// Marks a guard unreachable; subsequent selections fail over to the
@@ -212,33 +251,59 @@ impl PathSelector {
     /// Drops guard state entirely (a "new identity" in Tor terms): the
     /// next selection samples a fresh guard list.
     pub fn rotate_guard(&mut self) {
-        self.sampled_guards.clear();
+        self.resolved = 0;
+        self.sample_len = 0;
         self.down.clear();
     }
 
+    /// Takes the sample's draws if there is no sample yet: all
+    /// [`SAMPLED_GUARDS`] of them, deferring resolution, when every pick
+    /// surely draws once (see [the type docs](Self)); otherwise resolving
+    /// each pick as it draws, until one finds no eligible guard.
     fn ensure_sampled(&mut self, consensus: &Consensus, rng: &mut SimRng) {
-        if !self.sampled_guards.is_empty() {
+        if self.sample_len > 0 {
             return;
         }
-        // Bandwidth-weighted sampling without replacement, accumulated
-        // directly into the persistent buffer (draw-identical to
-        // collecting into a temporary).
-        let cap = self.sampled_guards.capacity();
-        for _ in 0..SAMPLED_GUARDS {
-            match dispatch_pick(
-                self.mode,
-                rng,
-                consensus,
-                FilterClass::Guard,
-                &self.sampled_guards,
-                &mut self.scratch,
-            ) {
-                Some(g) => self.sampled_guards.push(g),
-                None => break, // consensus has fewer eligible guards
+        self.sample_len = SAMPLED_GUARDS;
+        let index = consensus.index();
+        if index.exact_ok && index.class(FilterClass::Guard).positive >= SAMPLED_GUARDS {
+            for u in &mut self.draws {
+                *u = rng.next_f64();
+            }
+        } else {
+            while self.resolved < self.sample_len {
+                self.resolve_next(consensus, &mut || rng.next_f64());
             }
         }
-        if self.sampled_guards.capacity() != cap {
-            self.vec_grows += 1;
+    }
+
+    /// Resolves deferred guards until the first `n` of the sample are
+    /// known (a no-op for a sample resolved as it was drawn).
+    fn resolve_through(&mut self, consensus: &Consensus, n: usize) {
+        while self.resolved < n.min(self.sample_len) {
+            let u = self.draws[self.resolved];
+            self.resolve_next(consensus, &mut || u);
+        }
+    }
+
+    /// Resolves the next sampled guard: a weighted pick with the guards
+    /// resolved so far excluded, its draw taken from `next_u`. When no
+    /// guard is eligible the sample ends there.
+    fn resolve_next(&mut self, consensus: &Consensus, next_u: &mut dyn FnMut() -> f64) {
+        let j = self.resolved;
+        match dispatch_pick(
+            self.mode,
+            next_u,
+            consensus,
+            FilterClass::Guard,
+            &self.guards[..j],
+            &mut self.scratch,
+        ) {
+            Some(g) => {
+                self.guards[j] = g;
+                self.resolved += 1;
+            }
+            None => self.sample_len = j,
         }
     }
 
@@ -247,19 +312,17 @@ impl PathSelector {
     /// Bandwidth-weighted without replacement; honors pinning; keeps the
     /// persistent (primary) guard across calls.
     pub fn select(&mut self, consensus: &Consensus, rng: &mut SimRng) -> Result<CircuitSpec, PathError> {
-        let guard = match self.config.fixed_guard {
-            Some(g) => g,
-            None => {
-                self.ensure_sampled(consensus, rng);
-                self.current_guard()
-                    .ok_or(PathError::NoEligibleRelay(Role::Guard))?
-            }
-        };
+        if self.config.fixed_guard.is_none() {
+            self.ensure_sampled(consensus, rng);
+        }
+        let guard = self
+            .current_guard(consensus)
+            .ok_or(PathError::NoEligibleRelay(Role::Guard))?;
         let exit = match self.config.fixed_exit {
             Some(e) => e,
             None => dispatch_pick(
                 self.mode,
-                rng,
+                &mut || rng.next_f64(),
                 consensus,
                 FilterClass::Exit,
                 &[guard],
@@ -271,7 +334,7 @@ impl PathSelector {
             Some(m) => m,
             None => dispatch_pick(
                 self.mode,
-                rng,
+                &mut || rng.next_f64(),
                 consensus,
                 FilterClass::All,
                 &[guard, exit],
@@ -293,18 +356,26 @@ impl Default for PathSelector {
     }
 }
 
+/// One weighted pick in `mode`, drawing from `next_u` exactly when the
+/// mode's `weighted_pick` would draw from its RNG.
 fn dispatch_pick(
     mode: PickMode,
-    rng: &mut SimRng,
+    next_u: &mut dyn FnMut() -> f64,
     consensus: &Consensus,
     class: FilterClass,
     exclude: &[RelayId],
     scratch: &mut PickScratch,
 ) -> Option<RelayId> {
     match mode {
-        PickMode::Indexed => indexed::weighted_pick(rng, consensus, class, exclude, scratch),
+        PickMode::Indexed => indexed::pick_inner(consensus, class, exclude, scratch, next_u),
         PickMode::Reference => {
-            reference::weighted_pick(rng, consensus.relays(), |r| class.matches(r), exclude)
+            // `reference::weighted_pick`, with the draw from `next_u`.
+            let relays = consensus.relays();
+            let total = reference::filtered_total(relays, |r| class.matches(r), exclude);
+            if total <= 0.0 {
+                return None;
+            }
+            reference::weighted_pick_with_u(next_u(), total, relays, |r| class.matches(r), exclude)
         }
     }
 }
@@ -367,14 +438,14 @@ mod tests {
         let mut rng = SimRng::new(22);
         let mut sel = PathSelector::new();
         sel.select(&c, &mut rng).unwrap();
-        let sample = sel.sampled_guards();
+        let sample = sel.sampled_guards(&c).to_vec();
         assert_eq!(sample.len(), SAMPLED_GUARDS);
-        let mut dedup = sample.to_vec();
+        let mut dedup = sample.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), sample.len(), "duplicate guards in sample");
-        assert_eq!(sel.primary_guards().len(), PRIMARY_GUARDS);
-        assert_eq!(sel.primary_guards()[0], sel.current_guard().unwrap());
+        assert_eq!(sel.primary_guards(&c), &sample[..PRIMARY_GUARDS]);
+        assert_eq!(sel.current_guard(&c), Some(sample[0]));
     }
 
     #[test]
@@ -383,7 +454,7 @@ mod tests {
         let mut rng = SimRng::new(24);
         let mut sel = PathSelector::new();
         let first = sel.select(&c, &mut rng).unwrap().guard;
-        let sample = sel.sampled_guards().to_vec();
+        let sample = sel.sampled_guards(&c).to_vec();
         assert_eq!(first, sample[0]);
 
         sel.mark_guard_down(sample[0]);
@@ -401,7 +472,7 @@ mod tests {
         let mut rng = SimRng::new(26);
         let mut sel = PathSelector::new();
         sel.select(&c, &mut rng).unwrap();
-        for g in sel.sampled_guards().to_vec() {
+        for g in sel.sampled_guards(&c).to_vec() {
             sel.mark_guard_down(g);
         }
         assert_eq!(
@@ -532,7 +603,8 @@ mod tests {
                     sel_r.select(&c, &mut rng_r).unwrap()
                 );
             }
-            assert_eq!(sel_i.sampled_guards(), sel_r.sampled_guards());
+            assert_eq!(sel_i.sampled_guards(&c), sel_r.sampled_guards(&c));
+            assert_eq!(sel_i.primary_guards(&c), sel_r.primary_guards(&c));
             assert_eq!(rng_i, rng_r, "modes consumed different draw counts");
         }
     }

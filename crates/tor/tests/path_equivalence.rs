@@ -365,7 +365,8 @@ proptest! {
         for _ in 0..8 {
             prop_assert_eq!(sel_i.select(&c, &mut rng_i), sel_r.select(&c, &mut rng_r));
         }
-        prop_assert_eq!(sel_i.sampled_guards(), sel_r.sampled_guards());
+        prop_assert_eq!(sel_i.sampled_guards(&c), sel_r.sampled_guards(&c));
+        prop_assert_eq!(sel_i.primary_guards(&c), sel_r.primary_guards(&c));
         prop_assert_eq!(&rng_i, &rng_r);
     }
 }

@@ -19,8 +19,14 @@ use crate::transport::{AccessOptions, Deployment};
 /// One establish still resamples guards from scratch (so a reused
 /// scratch is draw-for-draw identical to a fresh one — proven by
 /// `reset_reuse_matches_fresh_selector_exactly` in `ptperf_tor`), but
-/// the sampled-guard and exclude buffers keep their capacity, making
-/// steady-state establishment allocation-free.
+/// the exclude buffer keeps its capacity, making steady-state
+/// establishment allocation-free. The sample is lazy: an establish
+/// takes all [`SAMPLED_GUARDS`](ptperf_tor::SAMPLED_GUARDS) guard-sample
+/// draws but resolves only the guard it uses, so a volunteer-guard
+/// establish makes three weighted picks (guard, exit, middle) where an
+/// eager sample made 22. Deferring is bit-exact because the guard class
+/// holds at least `SAMPLED_GUARDS` positive-bandwidth relays, so each
+/// deferred pick surely takes its one draw (see [`PathSelector`]).
 #[derive(Debug)]
 pub struct EstablishScratch {
     selector: PathSelector,

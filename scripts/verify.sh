@@ -20,7 +20,10 @@
 #      generic fill (fast_path_per_run < recomputations_per_run)
 #   6. establish smoke: quick establish benches + repro --bench-establish
 #      emitting BENCH_establish.json (same failure policy: panics and
-#      non-finite values only, never thresholds)
+#      non-finite values only, never timing thresholds); plus a count
+#      gate: the vanilla classes must make at most 3 weighted picks per
+#      establish (the lazy guard sample resolves only the guard used;
+#      eager sampling makes 22). The count is deterministic.
 #   7. unit smoke: quick unit benches + repro --bench-unit emitting
 #      BENCH_unit.json; additionally asserts every warm class shows
 #      allocs_per_unit == 0 — the one structural property the pooled
@@ -147,6 +150,26 @@ grep -q "establish/vanilla_600_indexed" "$obs_dir/bench_establish.txt"
 PTPERF_ESTABLISHBENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench-establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
 check_finite "$obs_dir/BENCH_establish.json"
+# Lazy guard sample count gate (one class per JSON line): both vanilla
+# classes must report, each with picks_per_establish <= 3.
+awk '
+  /"name": "vanilla_(600|5000)"/ {
+    seen++
+    n = $0;  sub(/.*"name": "/, "", n);               sub(/".*/, "", n)
+    p = $0;  sub(/.*"picks_per_establish": /, "", p); sub(/[,}].*/, "", p)
+    if (p !~ /^[0-9.eE+-]+$/ || p + 0 > 3) {
+      printf "class %s: picks_per_establish %s > 3 (guard sample resolved eagerly?)\n", \
+        n, p > "/dev/stderr"
+      bad = 1
+    }
+  }
+  END {
+    if (seen != 2) {
+      printf "expected the vanilla_600 and vanilla_5000 classes, found %d\n", seen > "/dev/stderr"
+      bad = 1
+    }
+    exit bad
+  }' "$obs_dir/BENCH_establish.json"
 
 echo "== perf smoke (unit benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench unit > "$obs_dir/bench_unit.txt"
