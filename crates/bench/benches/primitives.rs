@@ -1,12 +1,10 @@
 //! Micro-benchmarks of the substrate primitives: crypto kernels, cell
-//! and transport codecs, and the max–min fair allocator — the inner
-//! loops every experiment rides on.
+//! and transport codecs — the inner loops every experiment rides on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use ptperf_crypto::{chacha20_xor, hmac_sha256, sha256, x25519_base, Keypair};
-use ptperf_sim::{maxmin_demo, SimRng};
 use ptperf_tor::{Cell, CellCommand, OnionStack, RelayCell, RelayCommand};
 
 fn bench_crypto(c: &mut Criterion) {
@@ -95,17 +93,5 @@ fn bench_transport_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_maxmin(c: &mut Criterion) {
-    let mut g = c.benchmark_group("maxmin_allocator");
-    for (nodes, flows) in [(4usize, 8usize), (16, 64), (32, 256)] {
-        g.bench_function(format!("{nodes}n_{flows}f"), |b| {
-            let mut rng = SimRng::new(9);
-            let setup = maxmin_demo::random_instance(&mut rng, nodes, flows);
-            b.iter(|| black_box(maxmin_demo::solve(&setup)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(primitives, bench_crypto, bench_cells, bench_transport_codecs, bench_maxmin);
+criterion_group!(primitives, bench_crypto, bench_cells, bench_transport_codecs);
 criterion_main!(primitives);

@@ -1,13 +1,13 @@
 //! Criterion benchmarks for whole measurement units: the warm pooled
 //! pipeline (persistent [`UnitScratch`], indexed establish, in-place
-//! fluid scheduling) vs the retained allocating reference path (cold
-//! full-scan scratch per unit, per-step-allocating reference
-//! scheduler), over the standard classes from
+//! link sharing) vs the retained allocating reference path (cold
+//! full-scan scratch per unit, cold page scratch per page load), over
+//! the standard classes from
 //! [`ptperf_bench::unitbench`], plus the scenario's site-workload memo.
 //!
 //! The headline pair the PR trajectory tracks is
 //! `unit/browser_obfs4_16_pooled` vs `unit/browser_obfs4_16_reference`
-//! — the class where the fluid scheduler dominates unit time and
+//! — the class where page-load link sharing dominates unit time and
 //! pooling pays the most.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -14,7 +14,7 @@
 //! repro --profile fig6       # per-family profile table
 //! repro --check-bench DIR    # gate fresh BENCH_*.json in DIR against committed baselines
 //! repro --json-check FILE    # validate a JSON document (exit status only)
-//! repro --bench-flow         # fluid-scheduler benchmark → BENCH_flow.json
+//! repro --bench-flow         # link-sharing benchmark → BENCH_flow.json
 //! repro --bench-establish    # establishment benchmark → BENCH_establish.json
 //! repro --bench-unit         # measurement-unit benchmark → BENCH_unit.json
 //! repro --quiet / -v         # errors only / debug diagnostics
@@ -329,9 +329,9 @@ fn print_help() {
          us, default 1.0; PTPERF_BENCH_DRIFT=warn reports without\n\
          failing), emitting a machine-readable verdict JSON on stdout.\n\
          --json-check FILE validates that FILE parses as JSON and exits.\n\
-         --bench-flow benchmarks the fluid scheduler (optimized vs the\n\
-         reference oracle, p50/p95 per workload class, steps/s, fast-path\n\
-         hits, allocations-per-step proxy) and writes BENCH_flow.json\n\
+         --bench-flow benchmarks page-load link sharing (warm p50/p95\n\
+         per workload class, steps/s, allocations-per-step proxy) and\n\
+         writes BENCH_flow.json\n\
          (path override: --bench-out; runs per class:\n\
          PTPERF_FLOWBENCH_RUNS, default 400), then exits.\n\
          --bench-establish benchmarks channel establishment (indexed\n\

@@ -222,10 +222,7 @@ pub fn build_metrics(runs: &[TargetRun], workers: usize, elapsed: Duration) -> M
 /// Renders the `--profile` table: per family (first-seen order), shard
 /// and sample counts, measurements recorded (the `events` counter: one
 /// per fetch, page load or download), simulated seconds, shard
-/// wall-clock milliseconds, measurements per wall-clock second, and
-/// the allocator fast-path hit rate (`fast%`: `maxmin/fast_path` over
-/// `maxmin/recomputations` — "-" when the family never ran the
-/// allocator).
+/// wall-clock milliseconds, and measurements per wall-clock second.
 pub fn profile_table(runs: &[TargetRun]) -> String {
     struct Row {
         family: String,
@@ -234,8 +231,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         measurements: u64,
         sim_ns: u64,
         wall_secs: f64,
-        allocs: u64,
-        fast: u64,
     }
     let mut rows: Vec<Row> = Vec::new();
     for run in runs {
@@ -251,8 +246,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
                         measurements: 0,
                         sim_ns: 0,
                         wall_secs: 0.0,
-                        allocs: 0,
-                        fast: 0,
                     });
                     rows.last_mut().expect("just pushed")
                 }
@@ -262,8 +255,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
             row.measurements += report.obs.counter("events").unwrap_or(0);
             row.sim_ns += report.obs.counter("sim_ns").unwrap_or(0);
             row.wall_secs += report.wall.as_secs_f64();
-            row.allocs += report.obs.counter("maxmin/recomputations").unwrap_or(0);
-            row.fast += report.obs.counter("maxmin/fast_path").unwrap_or(0);
         }
     }
     let mut table = Table::new([
@@ -274,16 +265,10 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         "sim (s)",
         "wall (ms)",
         "measurements/s",
-        "fast%",
     ]);
     for r in &rows {
         let throughput = if r.wall_secs > 0.0 {
             format!("{:.0}", r.measurements as f64 / r.wall_secs)
-        } else {
-            "-".to_string()
-        };
-        let fast = if r.allocs > 0 {
-            format!("{:.0}", 100.0 * r.fast as f64 / r.allocs as f64)
         } else {
             "-".to_string()
         };
@@ -295,7 +280,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
             format!("{:.2}", r.sim_ns as f64 / 1e9),
             format!("{:.1}", r.wall_secs * 1e3),
             throughput,
-            fast,
         ]);
     }
     let totals = rows.iter().fold((0usize, 0u64, 0u64), |acc, r| {
@@ -439,29 +423,29 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_a_maxmin_fast_path_counter_track() {
-        // Shards that ran the fluid scheduler carry the `maxmin/*`
-        // counters, and the Chrome export must surface each key as its
-        // own "C" track alongside the other keys.
+    fn chrome_trace_renders_a_fluid_steps_counter_track() {
+        // Shards that loaded pages carry the `fluid/steps` and
+        // `browser/*` counters, and the Chrome export must surface each
+        // key as its own "C" track alongside the other keys.
         let mut run = sample_run();
-        run.reports[0].obs.counters.push(("maxmin/fast_path", 37));
-        run.reports[0].obs.counters.push(("maxmin/recomputations", 40));
+        run.reports[0].obs.counters.push(("fluid/steps", 37));
+        run.reports[0].obs.counters.push(("browser/resources", 40));
         let doc = trace_chrome(&[run]);
         let v = json::parse(&doc).expect("chrome trace is valid JSON");
         let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-        let fast: Vec<_> = events
+        let steps: Vec<_> = events
             .iter()
             .filter(|e| {
                 e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("maxmin/fast_path")
+                    && e.get("name").and_then(|n| n.as_str()) == Some("fluid/steps")
             })
             .collect();
-        assert_eq!(fast.len(), 1, "one fast-path track sample per shard");
+        assert_eq!(steps.len(), 1, "one fluid-steps track sample per shard");
         assert_eq!(
-            fast[0].get("args").unwrap().get("value").and_then(|x| x.as_f64()),
+            steps[0].get("args").unwrap().get("value").and_then(|x| x.as_f64()),
             Some(37.0)
         );
-        assert!(doc.contains("\"maxmin/recomputations\""));
+        assert!(doc.contains("\"browser/resources\""));
     }
 
     #[test]

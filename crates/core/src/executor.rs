@@ -42,8 +42,8 @@ use ptperf_web::PageScratch;
 pub struct UnitScratch {
     /// Channel-establishment scratch (relay-selection buffers).
     pub establish: EstablishScratch,
-    /// Browser page-load scratch (fair network, flow batch, completion
-    /// buffer, fluid scheduler).
+    /// Browser page-load scratch (sub-resource flows, link-sharing
+    /// buffer, finish times).
     pub page: PageScratch,
 }
 

@@ -39,15 +39,16 @@
 //! A fourth facility is the process-wide performance counter set in
 //! [`perf`] — monotone relaxed atomics (`path/index_pick`,
 //! `path/scan_fallback`, `deployment/rebuilds_saved`,
-//! `flow/inline_nodes`, `browser/scratch_hits`, `site/rebuilds_saved`)
+//! `browser/scratch_hits`, `site/rebuilds_saved`)
 //! for hot paths that have no recorder handle or whose tallies depend
 //! on warmup state and therefore must not enter the trace stream. They are write-only from simulation
 //! code and excluded from the deterministic trace stream.
 //!
 //! The crate is intentionally dependency-free (it sits *below*
-//! `ptperf-sim` in the crate graph, so the simulator itself can record
-//! into it) and contains no randomness and no global mutable state
-//! besides the log-level atomic and the write-only [`perf`] counters.
+//! `ptperf-tor`, `ptperf-web` and everything above them in the crate
+//! graph, so the model layers can record into it) and contains no
+//! randomness and no global mutable state besides the log-level atomic
+//! and the write-only [`perf`] counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

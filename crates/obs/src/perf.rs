@@ -22,7 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static PATH_INDEX_PICK: AtomicU64 = AtomicU64::new(0);
 static PATH_SCAN_FALLBACK: AtomicU64 = AtomicU64::new(0);
 static DEPLOYMENT_REBUILDS_SAVED: AtomicU64 = AtomicU64::new(0);
-static FLOW_INLINE_NODES: AtomicU64 = AtomicU64::new(0);
 static BROWSER_SCRATCH_HITS: AtomicU64 = AtomicU64::new(0);
 static SITE_REBUILDS_SAVED: AtomicU64 = AtomicU64::new(0);
 static FAULT_INJECTED: AtomicU64 = AtomicU64::new(0);
@@ -48,14 +47,6 @@ pub fn incr_path_scan_fallback() {
 /// consensus and bridge registry.
 pub fn incr_deployment_rebuilds_saved() {
     DEPLOYMENT_REBUILDS_SAVED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts `n` `flow/inline_nodes`: flows whose node path fit a
-/// `FlowBatch`'s inline representation (≤ 2 ids), avoiding an arena
-/// spill. These are warmth-dependent tallies (a reused batch keeps its
-/// arena capacity), so they must stay out of the recorder stream.
-pub fn incr_flow_inline_nodes(n: u64) {
-    FLOW_INLINE_NODES.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Counts one `browser/scratch_hits`: a page load served by an
@@ -104,8 +95,6 @@ pub struct PerfSnapshot {
     pub path_scan_fallback: u64,
     /// `deployment/rebuilds_saved` total.
     pub deployment_rebuilds_saved: u64,
-    /// `flow/inline_nodes` total.
-    pub flow_inline_nodes: u64,
     /// `browser/scratch_hits` total.
     pub browser_scratch_hits: u64,
     /// `site/rebuilds_saved` total.
@@ -132,7 +121,6 @@ impl PerfSnapshot {
             deployment_rebuilds_saved: self
                 .deployment_rebuilds_saved
                 .saturating_sub(earlier.deployment_rebuilds_saved),
-            flow_inline_nodes: self.flow_inline_nodes.saturating_sub(earlier.flow_inline_nodes),
             browser_scratch_hits: self
                 .browser_scratch_hits
                 .saturating_sub(earlier.browser_scratch_hits),
@@ -153,7 +141,6 @@ pub fn snapshot() -> PerfSnapshot {
         path_index_pick: PATH_INDEX_PICK.load(Ordering::Relaxed),
         path_scan_fallback: PATH_SCAN_FALLBACK.load(Ordering::Relaxed),
         deployment_rebuilds_saved: DEPLOYMENT_REBUILDS_SAVED.load(Ordering::Relaxed),
-        flow_inline_nodes: FLOW_INLINE_NODES.load(Ordering::Relaxed),
         browser_scratch_hits: BROWSER_SCRATCH_HITS.load(Ordering::Relaxed),
         site_rebuilds_saved: SITE_REBUILDS_SAVED.load(Ordering::Relaxed),
         fault_injected: FAULT_INJECTED.load(Ordering::Relaxed),
@@ -186,11 +173,9 @@ mod tests {
     #[test]
     fn unit_pipeline_counters_accumulate() {
         let before = snapshot();
-        incr_flow_inline_nodes(64);
         incr_browser_scratch_hits();
         incr_site_rebuilds_saved();
         let d = snapshot().delta_since(&before);
-        assert!(d.flow_inline_nodes >= 64);
         assert!(d.browser_scratch_hits >= 1);
         assert!(d.site_rebuilds_saved >= 1);
     }

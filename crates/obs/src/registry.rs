@@ -30,7 +30,7 @@ pub enum CounterKind {
 /// One registered counter key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterDef {
-    /// The key exactly as emitted, e.g. `"maxmin/rounds"`.
+    /// The key exactly as emitted, e.g. `"fluid/steps"`.
     pub key: &'static str,
     /// Which stream carries it.
     pub kind: CounterKind,
@@ -79,54 +79,9 @@ pub const COUNTERS: &[CounterDef] = &[
         doc: "injected faults answered with a retry attempt",
     },
     CounterDef {
-        key: "fluid/realloc_skipped",
-        kind: CounterKind::Trace,
-        doc: "fluid steps that reused rates because the active set was unchanged",
-    },
-    CounterDef {
-        key: "fluid/state_fallback",
-        kind: CounterKind::Trace,
-        doc: "fluid advances that took the re-entrant (non-pooled) state path",
-    },
-    CounterDef {
         key: "fluid/steps",
         kind: CounterKind::Trace,
-        doc: "fluid scheduler advance steps executed",
-    },
-    CounterDef {
-        key: "maxmin/fast_path",
-        kind: CounterKind::Trace,
-        doc: "max-min recomputations resolved by the analytic single-bottleneck path",
-    },
-    CounterDef {
-        key: "maxmin/flows_cap_limited",
-        kind: CounterKind::Trace,
-        doc: "flows whose rate was limited by their per-flow cap",
-    },
-    CounterDef {
-        key: "maxmin/flows_node_limited",
-        kind: CounterKind::Trace,
-        doc: "flows whose rate was limited by a saturated node",
-    },
-    CounterDef {
-        key: "maxmin/nodes_saturated",
-        kind: CounterKind::Trace,
-        doc: "nodes driven to full capacity during a recomputation",
-    },
-    CounterDef {
-        key: "maxmin/recomputations",
-        kind: CounterKind::Trace,
-        doc: "max-min fair-share recomputations triggered",
-    },
-    CounterDef {
-        key: "maxmin/rounds",
-        kind: CounterKind::Trace,
-        doc: "water-filling rounds executed across recomputations",
-    },
-    CounterDef {
-        key: "maxmin/state_fallback",
-        kind: CounterKind::Trace,
-        doc: "max-min recomputations that took the re-entrant (non-pooled) state path",
+        doc: "constant-rate steps of page-load link sharing",
     },
     CounterDef {
         key: "sim_ns",
@@ -163,11 +118,6 @@ pub const COUNTERS: &[CounterDef] = &[
         key: "fault/retried",
         kind: CounterKind::Perf,
         doc: "process-wide mirror of the fault/retried trace counter",
-    },
-    CounterDef {
-        key: "flow/inline_nodes",
-        kind: CounterKind::Perf,
-        doc: "flows whose node path fit the inline (no-spill) representation",
     },
     CounterDef {
         key: "path/index_pick",
@@ -222,8 +172,8 @@ mod tests {
 
     #[test]
     fn lookup_respects_kind() {
-        assert!(lookup("maxmin/rounds", CounterKind::Trace).is_some());
-        assert!(lookup("maxmin/rounds", CounterKind::Perf).is_none());
+        assert!(lookup("fluid/steps", CounterKind::Trace).is_some());
+        assert!(lookup("fluid/steps", CounterKind::Perf).is_none());
         assert!(lookup("path/index_pick", CounterKind::Perf).is_some());
         assert!(lookup("fault/injected", CounterKind::Trace).is_some());
         assert!(lookup("fault/injected", CounterKind::Perf).is_some());

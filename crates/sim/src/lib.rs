@@ -5,9 +5,9 @@
 //! controllable, reproducible stand-in: a virtual clock, a seeded random
 //! number generator, a six-region geographic topology with realistic
 //! inter-region delays, a closed-form TCP-like transfer-time model (slow
-//! start, Mathis loss ceiling, retransmission expansion), max–min fair
-//! bandwidth sharing for concurrent flows, seeded fault plans, and a
-//! relay/bridge load model. It is a flow-level simulator: transfers are
+//! start, Mathis loss ceiling, retransmission expansion), processor
+//! sharing of one link among concurrent flows, seeded fault plans, and
+//! a relay/bridge load model. It is a flow-level simulator: transfers are
 //! timed as whole flows, never packet by packet or cell by cell.
 //!
 //! Everything is deterministic given a seed: same seed, same results,
@@ -20,7 +20,7 @@
 //!   ├─ Location / Medium / PathSample       topology.rs
 //!   ├─ TransferModel (closed-form timing)   xfer.rs
 //!   ├─ FaultPlan / run_transfer             fault.rs
-//!   ├─ FairNetwork / FluidScheduler         flow/
+//!   ├─ LinkFlow / share_link                link.rs
 //!   └─ LoadProfile / LoadTimeline           load.rs
 //! ```
 //!
@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod flow;
+pub mod link;
 pub mod load;
 pub mod rng;
 pub mod time;
@@ -42,7 +42,7 @@ pub use fault::{
     run_transfer, FaultBias, FaultConfig, FaultEvent, FaultKind, FaultKnobs, FaultPlan,
     FaultProfile, FaultRun, RetryPolicy, TransferSpec,
 };
-pub use flow::{fluid_schedule, fluid_schedule_recorded, maxmin_demo, maxmin_rates, maxmin_rates_recorded, FairNetwork, FlowBatch, FlowDemand, FlowNodes, FluidCompletion, FluidFlow, FluidScheduler, NodeId};
+pub use link::{share_link, LinkFlow};
 pub use load::{effective_capacity, LoadProfile, LoadTimeline};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -3,15 +3,17 @@
 //!
 //! A browser fetch first loads the default page, then discovers the
 //! page's sub-resources and loads them over a bounded number of parallel
-//! connections that share the tunnel's bottleneck (modeled with the
-//! max–min fluid scheduler). The page is "loaded" when the last resource
-//! lands. The speed index integrates visual completeness over time: each
-//! resource contributes visual weight when it finishes, so the index sits
-//! *below* the full load time — the paper's §5.4 observation.
+//! connections that share the tunnel's bottleneck. Request `i` starts at
+//! `per_req × min(i / parallelism, 20)`: the waves stand in for a
+//! `parallelism`-slot connection pool, and the flows split the tunnel's
+//! rate by processor sharing ([`share_link`]). The page is "loaded" when
+//! the last resource lands. The speed index integrates visual
+//! completeness over time: each resource contributes visual weight when
+//! it finishes, so the index sits *below* the full load time — the
+//! paper's §5.4 observation.
 
 use ptperf_obs::{obs_debug, Recorder};
-use ptperf_sim::flow::reference;
-use ptperf_sim::{FairNetwork, FlowBatch, FluidCompletion, FluidScheduler, SimDuration, SimRng, SimTime};
+use ptperf_sim::{share_link, LinkFlow, SimDuration, SimRng, SimTime};
 
 use crate::channel::{Channel, Outcome};
 use crate::curl::PAGE_TIMEOUT;
@@ -21,17 +23,16 @@ use crate::website::Website;
 /// per-host default).
 pub const BROWSER_PARALLELISM: usize = 6;
 
-/// Reusable page-load scratch: the fair network, the flow batch, the
-/// completion buffer and a private [`FluidScheduler`], all owned
-/// together so one warm `PageScratch` makes an entire page load
-/// allocation-free. A per-worker copy lives inside the executor's
-/// `UnitScratch`; callers outside the executor hold their own.
+/// Reusable page-load scratch: the sub-resource flows, the link-sharing
+/// buffer and the finish times, owned together so one warm
+/// `PageScratch` makes an entire page load allocation-free. A
+/// per-worker copy lives inside the executor's `UnitScratch`; callers
+/// outside the executor hold their own.
 #[derive(Debug, Default)]
 pub struct PageScratch {
-    net: FairNetwork,
-    batch: FlowBatch,
-    completions: Vec<FluidCompletion>,
-    sched: FluidScheduler,
+    flows: Vec<LinkFlow>,
+    active: Vec<(usize, f64)>,
+    finish: Vec<SimTime>,
     grow_events: u64,
     uses: u64,
 }
@@ -42,17 +43,21 @@ impl PageScratch {
         PageScratch::default()
     }
 
-    /// Times any buffer in this scratch had to grow — the same
-    /// allocation proxy as [`FluidScheduler::scratch_grows`]. Zero
-    /// growth across a warm page load means the load performed no heap
-    /// allocation in the flow pipeline.
+    /// Times any buffer in this scratch had to grow, counted by
+    /// capacity: a proxy for heap allocations. Zero growth across a
+    /// warm page load means the load performed no heap allocation in
+    /// the flow pipeline.
     pub fn grows(&self) -> u64 {
-        self.grow_events + self.batch.grow_events() + self.sched.scratch_grows()
+        self.grow_events
     }
 
     /// Pages served by this scratch so far.
     pub fn uses(&self) -> u64 {
         self.uses
+    }
+
+    fn capacities(&self) -> [usize; 3] {
+        [self.flows.capacity(), self.active.capacity(), self.finish.capacity()]
     }
 }
 
@@ -98,48 +103,18 @@ impl std::fmt::Display for BrowserError {
 impl std::error::Error for BrowserError {}
 
 /// Loads a full page through `channel`, selenium-style, cut at
-/// [`PAGE_TIMEOUT`]. Per-page counters and the fluid scheduler's
-/// step/recomputation counts flow into `rec`; a
+/// [`PAGE_TIMEOUT`]. Per-page counters and the link-sharing step count
+/// (`fluid/steps`) flow into `rec`; a
 /// [`NullRecorder`](ptperf_obs::NullRecorder) runs the identical model
 /// and draws the identical RNG sequence. The caller-owned `scratch` —
 /// the executor threads one per worker — lets every page load after the
-/// first reuse the same network, batch, completion and scheduler
-/// buffers.
+/// first reuse the same flow and finish-time buffers.
 pub fn load_page_pooled(
     channel: &Channel,
     site: &Website,
     rng: &mut SimRng,
     rec: &mut dyn Recorder,
     scratch: &mut PageScratch,
-) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, rng, rec, scratch, false)
-}
-
-/// The retained allocating lane: same model body, but every call builds
-/// a cold scratch and the sub-resource waves run through the reference
-/// fluid scheduler ([`reference::fluid_schedule_recorded`]), which
-/// clones node paths into per-step demand `Vec`s. This is the baseline
-/// the unit benchmark measures the pooled path against; results are bit
-/// for bit identical to [`load_page_pooled`].
-pub fn load_page_reference(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, rng, rec, &mut PageScratch::new(), true)
-}
-
-/// The single model body behind both entry points: one timing model, one
-/// RNG draw order, two scheduling lanes (pooled persistent vs reference
-/// from-scratch) proven equivalent by the oracle suite.
-fn load_page_model(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    use_reference: bool,
 ) -> Result<PageLoad, BrowserError> {
     let timeout = PAGE_TIMEOUT;
     if channel.max_parallel_streams < 2 {
@@ -190,36 +165,38 @@ fn load_page_model(
     // per-request latency (stream open + request round trip + extras).
     // Requests beyond the parallelism window start as slots free up —
     // approximated by staggering start times in waves.
-    scratch.net.clear();
-    let tunnel = scratch.net.add_node(channel.effective_rate());
+    let before = scratch.capacities();
     let per_req = channel.stream_open + channel.per_request_extra + channel.request_rtt;
-    scratch.batch.clear();
+    scratch.flows.clear();
     for (i, &bytes) in site.resources.iter().enumerate() {
         let wave = (i / parallelism) as u64;
         // Later waves queue behind earlier ones; one request round
         // trip of stagger per wave approximates connection reuse.
-        let start = SimTime::ZERO + per_req * wave.min(20);
-        scratch
-            .batch
-            .push(start, bytes as f64, &[tunnel], None, per_req);
+        scratch.flows.push(LinkFlow {
+            start: SimTime::ZERO + per_req * wave.min(20),
+            bytes: bytes as f64,
+            extra_latency: per_req,
+        });
     }
-    if use_reference {
-        scratch.completions = reference::fluid_schedule_recorded(&scratch.net, &scratch.batch, rec);
-    } else {
-        let before = scratch.completions.capacity();
-        scratch
-            .sched
-            .run_recorded_into(&scratch.net, &scratch.batch, &mut scratch.completions, rec);
-        if scratch.completions.capacity() > before {
-            scratch.grow_events += 1;
-        }
+    let steps = share_link(
+        channel.effective_rate(),
+        &scratch.flows,
+        &mut scratch.active,
+        &mut scratch.finish,
+    );
+    // A page whose resources never share the link leaves no
+    // `fluid/steps` key in the trace.
+    if steps > 0 {
+        rec.add("fluid/steps", steps);
     }
-    // Single pass over the completions for the last-resource time; the
+    let after = scratch.capacities();
+    scratch.grow_events += before.iter().zip(&after).filter(|(b, a)| a > b).count() as u64;
+    // Single pass over the finish times for the last-resource time; the
     // speed index below indexes the buffer directly instead of copying
-    // the finish times out.
+    // them out.
     let mut last_resource = SimDuration::ZERO;
-    for c in &scratch.completions {
-        let done = c.finish.duration_since(SimTime::ZERO);
+    for t in &scratch.finish {
+        let done = t.duration_since(SimTime::ZERO);
         if done > last_resource {
             last_resource = done;
         }
@@ -260,7 +237,7 @@ fn load_page_model(
     if res_total > 0.0 {
         for (i, &bytes) in site.resources.iter().enumerate() {
             let w = 0.65 * bytes as f64 / res_total;
-            let done = scratch.completions[i].finish.duration_since(SimTime::ZERO);
+            let done = scratch.finish[i].duration_since(SimTime::ZERO);
             si += w * (main_done + done).as_secs_f64();
         }
     } else {
@@ -375,34 +352,25 @@ mod tests {
         let data = rec.into_data();
         assert_eq!(data.counter("browser/pages"), Some(1));
         assert_eq!(data.counter("browser/resources"), Some(s.resources.len() as u64));
-        // The fluid scheduler ran at least one constant-rate segment.
+        // The shared link ran at least one constant-rate segment.
         assert!(data.counter("fluid/steps").unwrap_or(0) >= 1);
-        assert!(data.counter("maxmin/recomputations").unwrap_or(0) >= 1);
-        // Browser pages are the single-bottleneck shape the allocator's
-        // analytic fast path exists for: every recomputation here must
-        // take it, and the skipped generic machinery shows up as zero
-        // extra rounds.
-        assert_eq!(
-            data.counter("maxmin/fast_path"),
-            data.counter("maxmin/recomputations"),
-        );
     }
 
     #[test]
-    fn pooled_lane_matches_reference_bitwise() {
+    fn warm_scratch_matches_cold_bitwise() {
         let ch = channel(1.2e6);
         let s = site();
         let mut scratch = PageScratch::new();
         for round in 0..3 {
             let mut rng_a = SimRng::new(40 + round);
             let mut rng_b = SimRng::new(40 + round);
-            let pooled =
+            let warm =
                 load_page_pooled(&ch, &s, &mut rng_a, &mut NullRecorder, &mut scratch).unwrap();
-            let refr = load_page_reference(&ch, &s, &mut rng_b, &mut NullRecorder).unwrap();
-            assert_eq!(pooled.main_done, refr.main_done);
-            assert_eq!(pooled.total, refr.total);
-            assert_eq!(pooled.speed_index, refr.speed_index);
-            assert_eq!(pooled.outcome, refr.outcome);
+            let cold = load(&ch, &s, &mut rng_b).unwrap();
+            assert_eq!(warm.main_done, cold.main_done);
+            assert_eq!(warm.total, cold.total);
+            assert_eq!(warm.speed_index, cold.speed_index);
+            assert_eq!(warm.outcome, cold.outcome);
         }
         assert_eq!(scratch.uses(), 3);
     }

@@ -12,12 +12,12 @@
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
-#   5. perf smoke: quick flow benches + repro --bench-flow emitting
-#      BENCH_flow.json (fails on panic or non-finite output, never on
-#      speed thresholds); structural gates on the scheduler: all six
-#      classes are present, every warm class keeps allocs_per_step == 0,
-#      and every mesh/churn class (not fast-path-eligible) runs the
-#      generic fill (fast_path_per_run < recomputations_per_run)
+#   5. perf smoke: quick link-sharing benches + repro --bench-flow
+#      emitting BENCH_flow.json (fails on panic or non-finite output,
+#      never on speed thresholds); structural gates: exactly the two
+#      classes browser_64 and browser_256, every warm class keeps
+#      allocs_per_step == 0, and steps_per_run is exactly 74 and 277
+#      (deterministic counts: a loop that steps differently fails)
 #   6. establish smoke: quick establish benches + repro --bench-establish
 #      emitting BENCH_establish.json (same failure policy: panics and
 #      non-finite values only, never timing thresholds); plus a count
@@ -111,34 +111,32 @@ awk -F'"value":' '
 
 echo "== perf smoke (flow benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench flow > "$obs_dir/bench_flow.txt"
-grep -q "fluid_scheduler/browser_64_optimized" "$obs_dir/bench_flow.txt"
+grep -q "share_link/browser_64" "$obs_dir/bench_flow.txt"
 PTPERF_FLOWBENCH_RUNS=40 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench-flow --bench-out "$obs_dir/BENCH_flow.json" > "$obs_dir/bench_out.txt"
 check_finite "$obs_dir/BENCH_flow.json"
-# Scheduler structural gates (one class per JSON line): all six
-# classes report, warm steps never grow the scratch, and the
-# multi-bottleneck classes — which the single-bottleneck fast path
-# cannot cover — run the generic progressive fill.
+# Link-sharing structural gates (one class per JSON line): exactly the
+# two browser classes report, warm runs never grow a buffer, and each
+# class takes its committed number of constant-rate steps.
 awk '
   /"name":/ {
     classes++
-    n = $0;   sub(/.*"name": "/, "", n);                    sub(/".*/, "", n)
-    rc = $0;  sub(/.*"recomputations_per_run": /, "", rc);  sub(/[,}].*/, "", rc)
-    fp = $0;  sub(/.*"fast_path_per_run": /, "", fp);       sub(/[,}].*/, "", fp)
-    al = $0;  sub(/.*"allocs_per_step": /, "", al);         sub(/[,}].*/, "", al)
+    n = $0;   sub(/.*"name": "/, "", n);            sub(/".*/, "", n)
+    st = $0;  sub(/.*"steps_per_run": /, "", st);   sub(/[,}].*/, "", st)
+    al = $0;  sub(/.*"allocs_per_step": /, "", al); sub(/[,}].*/, "", al)
     if (al + 0 != 0) {
       printf "class %s allocates warm: allocs_per_step=%s\n", n, al > "/dev/stderr"
       bad = 1
     }
-    if (n !~ /^(browser|capped)_/ && fp + 0 >= rc + 0) {
-      printf "class %s: fast_path_per_run %s not below recomputations_per_run %s\n", \
-        n, fp, rc > "/dev/stderr"
+    want = (n == "browser_64") ? 74 : (n == "browser_256") ? 277 : -1
+    if (st + 0 != want) {
+      printf "class %s: steps_per_run %s, expected %d\n", n, st, want > "/dev/stderr"
       bad = 1
     }
   }
   END {
-    if (classes != 6) {
-      printf "expected 6 flow classes, found %d\n", classes > "/dev/stderr"
+    if (classes != 2) {
+      printf "expected 2 flow classes, found %d\n", classes > "/dev/stderr"
       bad = 1
     }
     exit bad
