@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ptperf::campaign;
+use ptperf::campaign::{self, Family, RunScale};
 use ptperf::executor::Parallelism;
 use ptperf::experiments::{
     file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
@@ -22,6 +22,10 @@ fn scenario() -> Scenario {
     Scenario::baseline(42)
 }
 
+fn sequential() -> Parallelism {
+    Parallelism::sequential()
+}
+
 fn bench_fig2a_website_curl(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig2a_website_curl");
     g.sample_size(10);
@@ -30,7 +34,7 @@ fn bench_fig2a_website_curl(c: &mut Criterion) {
         repeats: 2,
     };
     g.bench_function("tranco_cbl_40_sites", |b| {
-        b.iter(|| black_box(website_curl::run(&scenario(), &cfg)))
+        b.iter(|| black_box(website_curl::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -43,19 +47,21 @@ fn bench_fig2b_website_selenium(c: &mut Criterion) {
         repeats: 1,
     };
     g.bench_function("browser_30_sites", |b| {
-        b.iter(|| black_box(website_selenium::run(&scenario(), &cfg)))
+        b.iter(|| black_box(website_selenium::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
 
 fn bench_tables_3_4_ttests(c: &mut Criterion) {
-    let result = website_curl::run(
+    let (result, _) = website_curl::run_with(
         &scenario(),
         &website_curl::Config {
             sites_per_list: 20,
             repeats: 1,
         },
-    );
+        &sequential(),
+    )
+    .expect("no panics");
     let mut g = c.benchmark_group("tables_3_4_10_ttests");
     g.bench_function("pairwise_78_tests", |b| {
         b.iter(|| black_box(ttest_tables::pairwise(&result.samples)))
@@ -71,7 +77,7 @@ fn bench_fig3_fixed_circuit(c: &mut Criterion) {
     g.sample_size(10);
     let cfg = fixed_circuit::Config { iterations: 25 };
     g.bench_function("25_iterations", |b| {
-        b.iter(|| black_box(fixed_circuit::run(&scenario(), &cfg)))
+        b.iter(|| black_box(fixed_circuit::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -84,7 +90,7 @@ fn bench_fig4_fixed_guard(c: &mut Criterion) {
         repeats: 1,
     };
     g.bench_function("30_sites", |b| {
-        b.iter(|| black_box(fixed_guard::run(&scenario(), &cfg)))
+        b.iter(|| black_box(fixed_guard::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -97,7 +103,7 @@ fn bench_fig5_file_download(c: &mut Criterion) {
         sizes: ptperf_web::FILE_SIZES,
     };
     g.bench_function("13_pts_5_sizes", |b| {
-        b.iter(|| black_box(file_download::run(&scenario(), &cfg)))
+        b.iter(|| black_box(file_download::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -107,7 +113,7 @@ fn bench_fig6_ttfb(c: &mut Criterion) {
     g.sample_size(10);
     let cfg = ttfb::Config { sites_per_list: 20 };
     g.bench_function("40_sites", |b| {
-        b.iter(|| black_box(ttfb::run(&scenario(), &cfg)))
+        b.iter(|| black_box(ttfb::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -121,7 +127,7 @@ fn bench_fig7_location(c: &mut Criterion) {
         all_pts: false,
     };
     g.bench_function("3x3_grid_showcase", |b| {
-        b.iter(|| black_box(location::run(&scenario(), &cfg)))
+        b.iter(|| black_box(location::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -134,7 +140,7 @@ fn bench_fig8_reliability(c: &mut Criterion) {
         sizes: ptperf_web::FILE_SIZES,
     };
     g.bench_function("12_pts_4_attempts", |b| {
-        b.iter(|| black_box(reliability::run(&scenario(), &cfg)))
+        b.iter(|| black_box(reliability::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -147,7 +153,7 @@ fn bench_medium_change(c: &mut Criterion) {
         repeats: 1,
     };
     g.bench_function("wired_vs_wireless", |b| {
-        b.iter(|| black_box(medium::run(&scenario(), &cfg)))
+        b.iter(|| black_box(medium::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -157,7 +163,7 @@ fn bench_fig9_overhead(c: &mut Criterion) {
     g.sample_size(10);
     let cfg = overhead::Config { sites: 20 };
     g.bench_function("20_sites_8_pts", |b| {
-        b.iter(|| black_box(overhead::run(&scenario(), &cfg)))
+        b.iter(|| black_box(overhead::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -172,7 +178,7 @@ fn bench_fig10_snowflake_load(c: &mut Criterion) {
         monitor_sites: 10,
     };
     g.bench_function("pre_post_plus_weekly", |b| {
-        b.iter(|| black_box(snowflake_load::run(&scenario(), &cfg)))
+        b.iter(|| black_box(snowflake_load::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -182,7 +188,7 @@ fn bench_fig11_speed_index(c: &mut Criterion) {
     g.sample_size(10);
     let cfg = speed_index::Config { sites_per_list: 15 };
     g.bench_function("browsertime_30_sites", |b| {
-        b.iter(|| black_box(speed_index::run(&scenario(), &cfg)))
+        b.iter(|| black_box(speed_index::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -195,7 +201,7 @@ fn bench_streaming_extension(c: &mut Criterion) {
         duration: ptperf_sim::SimDuration::from_secs(120),
     };
     g.bench_function("audio_and_video_qoe", |b| {
-        b.iter(|| black_box(streaming::run(&scenario(), &cfg)))
+        b.iter(|| black_box(streaming::run_with(&scenario(), &cfg, &sequential())))
     });
     g.finish();
 }
@@ -206,21 +212,25 @@ fn bench_campaign_parallelism(c: &mut Criterion) {
     // because each iteration is a whole campaign.
     let mut g = c.benchmark_group("campaign_parallelism");
     g.sample_size(3);
-    g.bench_function("run_quick_sequential", |b| {
+    g.bench_function("quick_sequential", |b| {
         b.iter(|| {
-            black_box(
-                campaign::run_quick_with(&scenario(), &Parallelism::sequential())
-                    .expect("campaign units do not panic"),
-            )
+            black_box(campaign::run(
+                &scenario(),
+                RunScale::Quick,
+                &Family::CAMPAIGN,
+                &sequential(),
+            ))
         })
     });
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    g.bench_function("run_quick_parallel_auto", |b| {
+    g.bench_function("quick_parallel_auto", |b| {
         b.iter(|| {
-            black_box(
-                campaign::run_quick_with(&scenario(), &Parallelism::new(workers))
-                    .expect("campaign units do not panic"),
-            )
+            black_box(campaign::run(
+                &scenario(),
+                RunScale::Quick,
+                &Family::CAMPAIGN,
+                &Parallelism::new(workers),
+            ))
         })
     });
     g.finish();

@@ -23,9 +23,7 @@
 
 use ptperf::executor::{Parallelism, Record};
 use ptperf::scenario::{FaultConfig, FaultProfile, Scenario};
-use ptperf_bench::{
-    available_targets, obs_export, run_target_obs, targets::export_csv_with, RunScale, TargetRun,
-};
+use ptperf_bench::{available_targets, obs_export, run_targets, RunScale};
 use ptperf_obs::{obs_error, obs_info, set_level, Level};
 
 fn main() {
@@ -252,24 +250,23 @@ fn main() {
         if faults { "paper plan" } else { "off" }
     );
     let run_started = std::time::Instant::now();
-    let mut runs: Vec<TargetRun> = Vec::new();
-    for t in targets {
-        let started = std::time::Instant::now();
-        let run = run_target_obs(&t, &scenario, scale, &par);
-        println!("==================== {t} ====================");
+    let names: Vec<&str> = targets.iter().map(String::as_str).collect();
+    let corpus = run_targets(&names, &scenario, scale, &par, csv_dir.is_some());
+    for run in &corpus.targets {
+        println!("==================== {} ====================", run.name);
         println!("{}", run.text);
-        if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            for (stem, doc) in export_csv_with(&t, &scenario, scale, &par) {
-                let path = format!("{dir}/{stem}.csv");
-                std::fs::write(&path, doc).expect("write csv");
-                obs_info!("wrote {path}");
-            }
+    }
+    if let Some(dir) = &csv_dir {
+        std::fs::create_dir_all(dir).expect("create csv dir");
+        for (stem, doc) in &corpus.csv {
+            let path = format!("{dir}/{stem}.csv");
+            std::fs::write(&path, doc).expect("write csv");
+            obs_info!("wrote {path}");
         }
-        obs_info!("{t} done in {:.1}s", started.elapsed().as_secs_f64());
-        runs.push(run);
     }
     let elapsed = run_started.elapsed();
+    obs_info!("{} target(s) done in {:.1}s", names.len(), elapsed.as_secs_f64());
+    let runs = corpus.targets;
 
     if let Some(path) = &trace_path {
         std::fs::write(path, obs_export::trace_jsonl(&runs)).expect("write trace");

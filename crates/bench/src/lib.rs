@@ -18,5 +18,5 @@ pub mod targets;
 pub mod unitbench;
 
 pub use targets::{
-    available_targets, run_target, run_target_obs, run_target_with, RunScale, TargetRun,
+    available_targets, run_target_obs, run_targets, CorpusRun, RunScale, TargetRun,
 };

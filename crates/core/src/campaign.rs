@@ -1,5 +1,7 @@
-//! **Table 1** — the measurement-campaign plan, and a one-call runner
-//! that executes a scaled-down version of the entire campaign.
+//! **Table 1** — the measurement-campaign plan, and the corpus driver:
+//! one call runs any set of experiment families at one scale through a
+//! single executor pool and keeps each family's merged result and shard
+//! reports.
 
 use std::any::Any;
 use std::time::Duration;
@@ -9,7 +11,7 @@ use ptperf_stats::Table;
 use crate::executor::{self, ExecError, Parallelism, ShardReport, Unit};
 use crate::experiments::{
     file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
-    snowflake_load, speed_index, ttfb, website_curl, website_selenium,
+    snowflake_load, speed_index, streaming, ttfb, website_curl, website_selenium,
 };
 use crate::scenario::Scenario;
 
@@ -47,6 +49,251 @@ pub fn render_plan() -> String {
     format!("Table 1 — Overview of measurement types\n{}", table.render())
 }
 
+/// How big a run to perform: which of each family's `Config` presets
+/// the driver uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunScale {
+    /// Seconds per family: the `Config::quick()` presets.
+    Quick,
+    /// The paper's scale: the `Config::paper()` presets.
+    Paper,
+}
+
+/// An experiment family: one runner in [`crate::experiments`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Figure 2a, Tables 3, 4 and 10.
+    WebsiteCurl,
+    /// Figure 2b, Tables 5 and 6.
+    WebsiteSelenium,
+    /// Figure 3.
+    FixedCircuit,
+    /// Figure 4.
+    FixedGuard,
+    /// Figure 5, Table 7.
+    FileDownload,
+    /// Figure 6.
+    Ttfb,
+    /// Figure 7.
+    Location,
+    /// Figure 8.
+    Reliability,
+    /// §4.7.
+    Medium,
+    /// Figure 9.
+    Overhead,
+    /// Figures 10 and 12.
+    SnowflakeLoad,
+    /// Figure 11, Tables 8 and 9.
+    SpeedIndex,
+    /// The streaming QoE extension.
+    Streaming,
+}
+
+/// A family's shard values, type-erased so every family shares one pool.
+type Erased = Box<dyn Any + Send>;
+
+/// A family's units, type-erased for the shared pool, and the merge
+/// that turns their values back into the family's typed result.
+struct Enlisted {
+    units: Vec<Unit<Erased>>,
+    merge: Box<dyn FnOnce(Vec<Erased>) -> Erased>,
+}
+
+fn enlist<S: Send + 'static, R: Send + 'static>(
+    units: Vec<Unit<S>>,
+    merge: fn(Vec<S>) -> R,
+) -> Enlisted {
+    Enlisted {
+        units: units.into_iter().map(Unit::boxed).collect(),
+        merge: Box::new(move |values| {
+            let shards = values
+                .into_iter()
+                .map(|v| *v.downcast::<S>().expect("a family's values drain in enlist order"))
+                .collect();
+            Box::new(merge(shards))
+        }),
+    }
+}
+
+impl Family {
+    /// The twelve families of the campaign table, in its row order
+    /// (streaming is an extension outside the paper's campaign).
+    pub const CAMPAIGN: [Family; 12] = [
+        Family::WebsiteCurl,
+        Family::WebsiteSelenium,
+        Family::FixedCircuit,
+        Family::FixedGuard,
+        Family::FileDownload,
+        Family::Ttfb,
+        Family::Location,
+        Family::Reliability,
+        Family::Medium,
+        Family::Overhead,
+        Family::SnowflakeLoad,
+        Family::SpeedIndex,
+    ];
+
+    /// The family's row name in the campaign table.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::WebsiteCurl => "website_curl",
+            Family::WebsiteSelenium => "website_selenium",
+            Family::FixedCircuit => "fixed_circuit",
+            Family::FixedGuard => "fixed_guard",
+            Family::FileDownload => "file_download",
+            Family::Ttfb => "ttfb",
+            Family::Location => "location",
+            Family::Reliability => "reliability",
+            Family::Medium => "medium",
+            Family::Overhead => "overhead",
+            Family::SnowflakeLoad => "snowflake",
+            Family::SpeedIndex => "speed_index",
+            Family::Streaming => "streaming",
+        }
+    }
+
+    fn enlist(self, scenario: &Scenario, scale: RunScale) -> Enlisted {
+        macro_rules! at_scale {
+            ($family:ident) => {{
+                let cfg = match scale {
+                    RunScale::Quick => $family::Config::quick(),
+                    RunScale::Paper => $family::Config::paper(),
+                };
+                enlist($family::units(scenario, &cfg), $family::merge)
+            }};
+        }
+        match self {
+            Family::WebsiteCurl => at_scale!(website_curl),
+            Family::WebsiteSelenium => at_scale!(website_selenium),
+            Family::FixedCircuit => at_scale!(fixed_circuit),
+            Family::FixedGuard => at_scale!(fixed_guard),
+            Family::FileDownload => at_scale!(file_download),
+            Family::Ttfb => at_scale!(ttfb),
+            Family::Location => at_scale!(location),
+            Family::Reliability => at_scale!(reliability),
+            Family::Medium => at_scale!(medium),
+            Family::Overhead => at_scale!(overhead),
+            Family::SnowflakeLoad => at_scale!(snowflake_load),
+            Family::SpeedIndex => at_scale!(speed_index),
+            Family::Streaming => at_scale!(streaming),
+        }
+    }
+}
+
+/// One family's share of a corpus run.
+pub struct FamilyRun {
+    /// Which family.
+    pub family: Family,
+    /// The family's shard reports, in shard-index order. Indexes count
+    /// from the start of the whole pool.
+    pub reports: Vec<ShardReport>,
+    result: Erased,
+}
+
+/// Everything one driver call produced: each family's merged result and
+/// shard reports, in the order the families were requested.
+pub struct Corpus {
+    /// The scale every family ran at.
+    pub scale: RunScale,
+    /// One entry per distinct requested family.
+    pub families: Vec<FamilyRun>,
+    /// Elapsed wall-clock time for the whole pool.
+    pub wall: Duration,
+    /// Worker threads used.
+    pub workers: usize,
+}
+
+impl Corpus {
+    /// The merged result of the family whose `Result` type is `T`, e.g.
+    /// `corpus.result::<website_curl::Result>()`.
+    ///
+    /// # Panics
+    /// Panics if that family was not part of the run.
+    pub fn result<T: 'static>(&self) -> &T {
+        self.families
+            .iter()
+            .find_map(|f| f.result.downcast_ref::<T>())
+            .unwrap_or_else(|| panic!("{} was not run", std::any::type_name::<T>()))
+    }
+
+    /// The run of one family, if it was requested.
+    pub fn family(&self, family: Family) -> Option<&FamilyRun> {
+        self.families.iter().find(|f| f.family == family)
+    }
+
+    /// The per-family execution table of the twelve campaign families.
+    ///
+    /// # Panics
+    /// Panics if a campaign family was not part of the run.
+    pub fn campaign_stats(&self) -> CampaignStats {
+        let families: Vec<FamilyStats> = Family::CAMPAIGN
+            .iter()
+            .map(|&family| {
+                let reports = &self
+                    .family(family)
+                    .unwrap_or_else(|| panic!("{} was not run", family.name()))
+                    .reports;
+                FamilyStats {
+                    name: family.name(),
+                    shards: reports.len(),
+                    samples: reports.iter().map(|r| r.samples).sum(),
+                    wall: reports.iter().map(|r| r.wall).sum(),
+                }
+            })
+            .collect();
+        let shards = families.iter().map(|f| f.shards).sum();
+        CampaignStats {
+            families,
+            shards,
+            wall: self.wall,
+            // The workers a pool of just these shards would have used.
+            workers: self.workers.min(shards),
+        }
+    }
+}
+
+/// Runs every listed family at `scale` through one executor pool and
+/// merges each family's shard values in shard-index order, so every
+/// result is bit-for-bit identical to the family's own `run_with` at
+/// any worker count (see [`crate::executor`]). A family listed twice
+/// runs once.
+pub fn run(
+    scenario: &Scenario,
+    scale: RunScale,
+    families: &[Family],
+    par: &Parallelism,
+) -> std::result::Result<Corpus, ExecError> {
+    let mut pool: Vec<Unit<Erased>> = Vec::new();
+    let mut merges = Vec::new();
+    for &family in families {
+        if merges.iter().any(|&(f, _, _)| f == family) {
+            continue;
+        }
+        let Enlisted { units, merge } = family.enlist(scenario, scale);
+        merges.push((family, units.len(), merge));
+        pool.extend(units);
+    }
+
+    let executed = executor::run_units(par, pool)?;
+    let mut values = executed.values.into_iter();
+    let mut reports = executed.reports.into_iter();
+    let families = merges
+        .into_iter()
+        .map(|(family, n, merge)| FamilyRun {
+            family,
+            reports: reports.by_ref().take(n).collect(),
+            result: merge(values.by_ref().take(n).collect()),
+        })
+        .collect();
+    Ok(Corpus {
+        scale,
+        families,
+        wall: executed.wall,
+        workers: executed.workers,
+    })
+}
+
 /// Per-family execution summary of a campaign run.
 #[derive(Debug, Clone)]
 pub struct FamilyStats {
@@ -66,9 +313,9 @@ pub struct FamilyStats {
 pub struct CampaignStats {
     /// Per-family rollups, in campaign order.
     pub families: Vec<FamilyStats>,
-    /// Every shard's record, in shard-index (= merge) order.
-    pub reports: Vec<ShardReport>,
-    /// Elapsed wall-clock time for the whole pool.
+    /// Shards across the campaign families.
+    pub shards: usize,
+    /// Elapsed wall-clock time for the pool the families ran in.
     pub wall: Duration,
     /// Worker threads used.
     pub workers: usize,
@@ -88,301 +335,12 @@ impl CampaignStats {
         }
         format!(
             "Campaign execution — {} shards on {} worker(s), {:.2} s elapsed\n{}",
-            self.reports.len(),
+            self.shards,
             self.workers,
             self.wall.as_secs_f64(),
             table.render()
         )
     }
-}
-
-/// Results of a full (scaled) campaign run.
-pub struct CampaignResults {
-    /// Figure 2a.
-    pub website_curl: website_curl::Result,
-    /// Figure 2b.
-    pub website_selenium: website_selenium::Result,
-    /// Figure 3.
-    pub fixed_circuit: fixed_circuit::Result,
-    /// Figure 4.
-    pub fixed_guard: fixed_guard::Result,
-    /// Figure 5 / Table 7.
-    pub file_download: file_download::Result,
-    /// Figure 6.
-    pub ttfb: ttfb::Result,
-    /// Figure 7.
-    pub location: location::Result,
-    /// Figure 8.
-    pub reliability: reliability::Result,
-    /// §4.7.
-    pub medium: medium::Result,
-    /// Figure 9.
-    pub overhead: overhead::Result,
-    /// Figures 10 and 12.
-    pub snowflake: snowflake_load::Result,
-    /// Figure 11 / Tables 8, 9.
-    pub speed_index: speed_index::Result,
-    /// Execution statistics (per-shard wall clock and sample counts).
-    pub stats: CampaignStats,
-}
-
-/// Takes the next `n` type-erased shard values and downcasts them back
-/// to the family's shard type. Panics only on a bug in the pool layout
-/// (the counts and order come straight from the family `units()` calls).
-fn drain<T: 'static>(
-    values: &mut std::vec::IntoIter<Box<dyn Any + Send>>,
-    n: usize,
-) -> Vec<T> {
-    (0..n)
-        .map(|_| {
-            *values
-                .next()
-                .expect("pool has as many values as enlisted units")
-                .downcast::<T>()
-                .expect("family ranges drain in enlist order")
-        })
-        .collect()
-}
-
-/// Runs every experiment at test scale through the parallel executor:
-/// the campaign is sharded into one type-erased pool spanning all
-/// twelve families, executed at the requested [`Parallelism`], and
-/// merged per family in shard-index order — so the results are
-/// bit-for-bit identical at any worker count (see [`crate::executor`]).
-pub fn run_quick_with(
-    scenario: &Scenario,
-    par: &Parallelism,
-) -> std::result::Result<CampaignResults, ExecError> {
-    let mut pool: Vec<Unit<Box<dyn Any + Send>>> = Vec::new();
-    let mut family_names: Vec<&'static str> = Vec::new();
-    macro_rules! enlist {
-        ($name:literal, $units:expr) => {{
-            let units = $units;
-            let n = units.len();
-            pool.extend(units.into_iter().map(Unit::boxed));
-            family_names.push($name);
-            n
-        }};
-    }
-    let n_curl = enlist!(
-        "website_curl",
-        website_curl::units(scenario, &website_curl::Config::quick())
-    );
-    let n_selenium = enlist!(
-        "website_selenium",
-        website_selenium::units(scenario, &website_selenium::Config::quick())
-    );
-    let n_circuit = enlist!(
-        "fixed_circuit",
-        fixed_circuit::units(scenario, &fixed_circuit::Config::quick())
-    );
-    let n_guard = enlist!(
-        "fixed_guard",
-        fixed_guard::units(scenario, &fixed_guard::Config::quick())
-    );
-    let n_file = enlist!(
-        "file_download",
-        file_download::units(scenario, &file_download::Config::quick())
-    );
-    let n_ttfb = enlist!("ttfb", ttfb::units(scenario, &ttfb::Config::quick()));
-    let n_location = enlist!(
-        "location",
-        location::units(scenario, &location::Config::quick())
-    );
-    let n_reliability = enlist!(
-        "reliability",
-        reliability::units(scenario, &reliability::Config::quick())
-    );
-    let n_medium = enlist!("medium", medium::units(scenario, &medium::Config::quick()));
-    let n_overhead = enlist!(
-        "overhead",
-        overhead::units(scenario, &overhead::Config::quick())
-    );
-    let n_snowflake = enlist!(
-        "snowflake",
-        snowflake_load::units(scenario, &snowflake_load::Config::quick())
-    );
-    let n_si = enlist!(
-        "speed_index",
-        speed_index::units(scenario, &speed_index::Config::quick())
-    );
-
-    let executed = executor::run_units(par, pool)?;
-
-    let counts = [
-        n_curl, n_selenium, n_circuit, n_guard, n_file, n_ttfb, n_location,
-        n_reliability, n_medium, n_overhead, n_snowflake, n_si,
-    ];
-    let mut families = Vec::with_capacity(counts.len());
-    let mut offset = 0;
-    for (&name, &shards) in family_names.iter().zip(&counts) {
-        let reports = &executed.reports[offset..offset + shards];
-        families.push(FamilyStats {
-            name,
-            shards,
-            samples: reports.iter().map(|r| r.samples).sum(),
-            wall: reports.iter().map(|r| r.wall).sum(),
-        });
-        offset += shards;
-    }
-    let stats = CampaignStats {
-        families,
-        reports: executed.reports,
-        wall: executed.wall,
-        workers: executed.workers,
-    };
-
-    let mut values = executed.values.into_iter();
-    let website_curl = website_curl::merge(drain(&mut values, n_curl));
-    let website_selenium = website_selenium::merge(drain(&mut values, n_selenium));
-    let fixed_circuit = fixed_circuit::merge(drain(&mut values, n_circuit));
-    let fixed_guard = fixed_guard::merge(drain(&mut values, n_guard));
-    let file_download = file_download::merge(drain(&mut values, n_file));
-    let ttfb = ttfb::merge(drain(&mut values, n_ttfb));
-    let location = location::merge(drain(&mut values, n_location));
-    let reliability = reliability::merge(drain(&mut values, n_reliability));
-    let medium = medium::merge(drain(&mut values, n_medium));
-    let overhead = overhead::merge(drain(&mut values, n_overhead));
-    let snowflake = snowflake_load::merge(drain(&mut values, n_snowflake));
-    let speed_index = speed_index::merge(drain(&mut values, n_si));
-
-    Ok(CampaignResults {
-        website_curl,
-        website_selenium,
-        fixed_circuit,
-        fixed_guard,
-        file_download,
-        ttfb,
-        location,
-        reliability,
-        medium,
-        overhead,
-        snowflake,
-        speed_index,
-        stats,
-    })
-}
-
-/// Runs every experiment at test scale (seconds, not hours). The `repro`
-/// binary runs them at configurable scale instead.
-pub fn run_quick(scenario: &Scenario) -> CampaignResults {
-    run_quick_with(scenario, &Parallelism::sequential())
-        .expect("sequential campaign units do not panic")
-}
-
-/// A timestamped measurement from a scheduled campaign run.
-#[derive(Debug, Clone, Copy)]
-pub struct TimedMeasurement {
-    /// When the measurement fired on the campaign clock.
-    pub at: ptperf_sim::SimTime,
-    /// The load multiplier in effect at that instant.
-    pub load: f64,
-    /// Measured website access time (seconds).
-    pub seconds: f64,
-}
-
-/// Runs a *scheduled* snowflake monitoring campaign across the §5.3
-/// timeline: measurement slots are laid out by the ethical planner
-/// ([`crate::schedule`]) over simulated weeks, each slot measures under
-/// the load in effect at its timestamp (the Figure 10a step curve), and
-/// the slots automatically thin out once the surge-caution limits kick
-/// in — reproducing how the paper's own campaign stretched "into
-/// months".
-pub fn run_scheduled_snowflake_with(
-    scenario: &Scenario,
-    measurements: u32,
-    par: &Parallelism,
-) -> std::result::Result<(Vec<TimedMeasurement>, Vec<ShardReport>), ExecError> {
-    use crate::experiments::snowflake_load::user_timeline;
-    use crate::schedule::{plan, RateLimits};
-    use ptperf_sim::{SimDuration, SimTime};
-    use ptperf_transports::{transport_for, PtId};
-    use ptperf_web::curl;
-
-    /// Slots per shard: small enough to balance across workers, large
-    /// enough that shard setup (deployment, site list) stays amortized.
-    const SLOTS_PER_SHARD: usize = 250;
-
-    // Surge-cautious limits throughout (the paper adopted them once the
-    // surge hit; planning conservatively from the start only stretches
-    // the pre-surge phase a little).
-    let slots = plan(
-        measurements,
-        SimTime::ZERO,
-        &RateLimits::for_transport(PtId::Snowflake, true),
-        SimDuration::from_secs(300),
-    );
-
-    let units: Vec<Unit<Vec<TimedMeasurement>>> = slots
-        .chunks(SLOTS_PER_SHARD)
-        .enumerate()
-        .map(|(shard_idx, chunk)| {
-            let chunk = chunk.to_vec();
-            let scenario = scenario.clone();
-            Unit::pooled(format!("scheduled-snowflake/{shard_idx}"), move |rec, scratch| {
-                const WEEK: SimDuration = SimDuration::from_secs(7 * 24 * 3600);
-                let timeline = user_timeline();
-                let first_week = timeline.first().expect("timeline non-empty").week;
-                let load_at = |t: SimTime| -> f64 {
-                    let week = first_week + (t.as_nanos() / WEEK.as_nanos()) as i32;
-                    timeline
-                        .iter()
-                        .rev()
-                        .find(|p| p.week <= week)
-                        .map(|p| p.load)
-                        .unwrap_or(1.0)
-                };
-                let dep = scenario.deployment();
-                let transport = transport_for(PtId::Snowflake);
-                let sites = scenario.target_sites(20);
-                let mut rng = scenario.rng(&format!("scheduled-snowflake/{shard_idx}"));
-                let mut phases = ptperf_obs::PhaseAccum::new();
-                let mut out: Vec<TimedMeasurement> = Vec::with_capacity(chunk.len());
-                for slot in &chunk {
-                    let load = load_at(slot.at);
-                    let mut opts = scenario.access_options();
-                    opts.load_mult = load;
-                    let site = &sites[slot.index as usize % sites.len()];
-                    let ch = transport.establish_with(
-                        &dep,
-                        &opts,
-                        site.server,
-                        &mut rng,
-                        &mut scratch.establish,
-                    );
-                    let fetch = curl::fetch(&ch, site, &mut rng);
-                    if rec.enabled() {
-                        crate::measure::record_fetch_phases(&mut phases, &ch, &fetch);
-                        rec.add("events", 1);
-                    }
-                    out.push(TimedMeasurement {
-                        at: slot.at,
-                        load,
-                        seconds: fetch.total.as_secs_f64(),
-                    });
-                }
-                phases.emit(rec);
-                let n = out.len();
-                (out, n)
-            })
-        })
-        .collect();
-
-    let executed = executor::run_units(par, units)?;
-    Ok((
-        executed.values.into_iter().flatten().collect(),
-        executed.reports,
-    ))
-}
-
-/// Sequential wrapper over [`run_scheduled_snowflake_with`].
-pub fn run_scheduled_snowflake(
-    scenario: &Scenario,
-    measurements: u32,
-) -> Vec<TimedMeasurement> {
-    run_scheduled_snowflake_with(scenario, measurements, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
 }
 
 #[cfg(test)]
@@ -397,38 +355,42 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_campaign_tracks_the_timeline() {
-        let scenario = Scenario::baseline(314);
-        let series = run_scheduled_snowflake(&scenario, 6_500);
-        assert_eq!(series.len(), 6_500);
-        // Slots are time-ordered and the campaign spans multiple weeks
-        // under the surge-cautious limits.
-        assert!(series.windows(2).all(|w| w[0].at <= w[1].at));
-        let span = series.last().unwrap().at.duration_since(series[0].at);
-        assert!(span.as_secs_f64() > 30.0 * 24.0 * 3600.0, "span {span}");
-        // Measurements under surge load are slower on average than the
-        // pre-surge ones.
-        let calm: Vec<f64> = series.iter().filter(|m| m.load <= 1.1).map(|m| m.seconds).collect();
-        let surge: Vec<f64> = series.iter().filter(|m| m.load >= 2.5).map(|m| m.seconds).collect();
-        assert!(calm.len() > 50, "calm n={}", calm.len());
-        assert!(surge.len() > 50, "surge n={}", surge.len());
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        assert!(
-            mean(&surge) > mean(&calm),
-            "surge {:.2} vs calm {:.2}",
-            mean(&surge),
-            mean(&calm)
-        );
-    }
-
-    #[test]
     fn quick_campaign_runs_end_to_end() {
-        let results = run_quick(&Scenario::baseline(777));
+        let corpus = run(
+            &Scenario::baseline(777),
+            RunScale::Quick,
+            &Family::CAMPAIGN,
+            &Parallelism::sequential(),
+        )
+        .expect("campaign units do not panic");
         // Spot-check one cross-experiment consistency property: the PTs
         // that fail bulk downloads are the ones excluded from Figure 5.
-        let excluded = results.file_download.excluded();
+        let excluded = corpus.result::<file_download::Result>().excluded();
         for pt in crate::experiments::reliability::WORST {
             assert!(excluded.contains(&pt), "{pt} not excluded from fig5");
         }
+    }
+
+    #[test]
+    fn a_repeated_family_runs_once_and_matches_run_with() {
+        let scenario = Scenario::baseline(5);
+        let par = Parallelism::new(2);
+        let corpus = run(
+            &scenario,
+            RunScale::Quick,
+            &[Family::Ttfb, Family::FixedGuard, Family::Ttfb],
+            &par,
+        )
+        .expect("no panics");
+        assert_eq!(corpus.families.len(), 2);
+        let (direct, reports) =
+            ttfb::run_with(&scenario, &ttfb::Config::quick(), &par).expect("no panics");
+        assert_eq!(corpus.result::<ttfb::Result>().render(), direct.render());
+        let ttfb_run = corpus.family(Family::Ttfb).expect("ttfb ran");
+        let labels = |r: &[ShardReport]| r.iter().map(|s| s.label.clone()).collect::<Vec<_>>();
+        assert_eq!(labels(&ttfb_run.reports), labels(&reports));
+        // Indexes count across the pool: fixed_guard's one shard follows.
+        let guard = &corpus.family(Family::FixedGuard).expect("guard ran").reports;
+        assert_eq!(guard[0].index, reports.len());
     }
 }

@@ -155,7 +155,8 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     Result { attempts, paired }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
+/// Runs the experiment through the executor at the given parallelism
+/// (see [`units`] for the epoch-lift note).
 pub fn run_with(
     scenario: &Scenario,
     cfg: &Config,
@@ -163,13 +164,6 @@ pub fn run_with(
 ) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
     let executed = crate::executor::run_units(par, units(scenario, cfg))?;
     Ok((merge(executed.values), executed.reports))
-}
-
-/// Runs the experiment (see [`units`] for the epoch-lift note).
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
 }
 
 impl Result {
@@ -249,7 +243,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(51), &Config::quick())
+        run_with(&Scenario::baseline(51), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

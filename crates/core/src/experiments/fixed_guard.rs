@@ -59,7 +59,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Result>> {
     let scenario = scenario.clone();
     let cfg = *cfg;
     vec![Unit::pooled("fig4", move |rec, scratch| {
-        let r = run_pooled(&scenario, &cfg, rec, &mut scratch.establish);
+        let r = run_shard(&scenario, &cfg, rec, &mut scratch.establish);
         let n = r.tor.len() + r.obfs4.len();
         (r, n)
     })]
@@ -80,25 +80,8 @@ pub fn run_with(
     Ok((merge(executed.values), executed.reports))
 }
 
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_traced(scenario, cfg, &mut ptperf_obs::NullRecorder)
-}
-
-/// [`run`] with observation: per-fetch phase accumulation and an
-/// `events` counter. The plain entry point delegates here with a no-op
-/// recorder, so both paths draw the identical RNG sequence.
-pub fn run_traced(
-    scenario: &Scenario,
-    cfg: &Config,
-    rec: &mut dyn ptperf_obs::Recorder,
-) -> Result {
-    run_pooled(scenario, cfg, rec, &mut EstablishScratch::new())
-}
-
-/// [`run_traced`] reusing caller-provided establish scratch. The scratch
-/// holds no RNG state, so warm and fresh scratch yield identical results.
-pub fn run_pooled(
+/// The single shard: every measurement, threaded through one RNG stream.
+fn run_shard(
     scenario: &Scenario,
     cfg: &Config,
     rec: &mut dyn ptperf_obs::Recorder,
@@ -178,7 +161,9 @@ mod tests {
 
     #[test]
     fn fixed_guard_equalizes_medians() {
-        let r = run(&Scenario::baseline(41), &Config::quick());
+        let r = run_with(&Scenario::baseline(41), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0;
         let t_med = ptperf_stats::median(&r.tor);
         let o_med = ptperf_stats::median(&r.obfs4);
         let ratio = o_med / t_med;
@@ -190,7 +175,9 @@ mod tests {
 
     #[test]
     fn mean_difference_is_small() {
-        let r = run(&Scenario::baseline(42), &Config::quick());
+        let r = run_with(&Scenario::baseline(42), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0;
         let t = r.ttest();
         let tor_mean = ptperf_stats::mean(&r.tor);
         assert!(
@@ -202,7 +189,9 @@ mod tests {
 
     #[test]
     fn render_has_both_series() {
-        let r = run(&Scenario::baseline(43), &Config::quick());
+        let r = run_with(&Scenario::baseline(43), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0;
         let text = r.render();
         assert!(text.contains("tor"));
         assert!(text.contains("obfs4"));

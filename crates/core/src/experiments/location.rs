@@ -12,9 +12,10 @@ use std::sync::Arc;
 use ptperf_sim::Location;
 use ptperf_stats::{ascii_boxplots, Summary};
 use ptperf_transports::PtId;
+use ptperf_web::FaultSession;
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::curl_site_averages_pooled;
+use crate::measure::curl_site_averages;
 use crate::scenario::Scenario;
 
 /// The showcased PTs of Figure 7.
@@ -87,9 +88,10 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                     format!("fig7/{client}/{server}/{pt}"),
                     move |rec, scratch| {
                         let mut rng = sc.rng(&format!("fig7/{client}/{server}/{pt}"));
-                        let avgs = curl_site_averages_pooled(
+                        let avgs = curl_site_averages(
                             &sc, pt, &sites, cfg.repeats, &mut rng, rec,
                             &mut scratch.establish,
+                            &mut FaultSession::off(),
                         );
                         let n = avgs.len();
                         (((client, server, pt), avgs), n)
@@ -106,7 +108,8 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     Result { samples: shards.into_iter().collect() }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
+/// Runs the experiment over the 3×3 location grid through the executor
+/// at the given parallelism.
 pub fn run_with(
     scenario: &Scenario,
     cfg: &Config,
@@ -114,13 +117,6 @@ pub fn run_with(
 ) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
     let executed = crate::executor::run_units(par, units(scenario, cfg))?;
     Ok((merge(executed.values), executed.reports))
-}
-
-/// Runs the experiment over the 3×3 location grid.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
 }
 
 impl Result {
@@ -166,7 +162,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(71), &Config::quick())
+        run_with(&Scenario::baseline(71), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

@@ -9,9 +9,10 @@ use std::sync::Arc;
 
 use ptperf_sim::Medium;
 use ptperf_transports::PtId;
+use ptperf_web::FaultSession;
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::curl_site_averages_pooled;
+use crate::measure::curl_site_averages;
 use crate::scenario::Scenario;
 
 use super::figure_order;
@@ -87,8 +88,15 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
             let sites = Arc::clone(&sites);
             units.push(Unit::pooled(format!("medium/{medium:?}/{pt}"), move |rec, scratch| {
                 let mut rng = sc.rng(&format!("medium/{medium:?}/{pt}"));
-                let avgs = curl_site_averages_pooled(
-                    &sc, pt, &sites, cfg.repeats, &mut rng, rec, &mut scratch.establish,
+                let avgs = curl_site_averages(
+                    &sc,
+                    pt,
+                    &sites,
+                    cfg.repeats,
+                    &mut rng,
+                    rec,
+                    &mut scratch.establish,
+                    &mut FaultSession::off(),
                 );
                 let n = avgs.len();
                 (
@@ -114,13 +122,6 @@ pub fn run_with(
 ) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
     let executed = crate::executor::run_units(par, units(scenario, cfg))?;
     Ok((merge(executed.values), executed.reports))
-}
-
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
 }
 
 impl Result {
@@ -171,7 +172,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(91), &Config::quick())
+        run_with(&Scenario::baseline(91), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! Every runner follows the same shape: a `Config` with a `quick()`
 //! preset (seconds, for tests) and a `paper()` preset (the full scale of
-//! the original campaign), a `run(&Scenario, &Config)` entry point
-//! returning a typed result, and a `render()` producing the text
-//! figure/table.
+//! the original campaign); `units` splitting the experiment into
+//! executor shards and `merge` folding their values, in shard-index
+//! order, into a typed `Result`; one entry point,
+//! `run_with(&Scenario, &Config, &Parallelism)`, that runs the units and
+//! returns the result with its shard reports; and a `render()` producing
+//! the text figure/table. [`crate::campaign::run`] runs several families
+//! through one pool from the same `units`/`merge` pairs.
 
 pub mod file_download;
 pub mod fixed_circuit;

@@ -129,7 +129,8 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
+/// Runs the experiment through the executor at the given parallelism
+/// (post-surge epoch, like the selenium runs).
 pub fn run_with(
     scenario: &Scenario,
     cfg: &Config,
@@ -137,13 +138,6 @@ pub fn run_with(
 ) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
     let executed = crate::executor::run_units(par, units(scenario, cfg))?;
     Ok((merge(executed.values), executed.reports))
-}
-
-/// Runs the experiment (post-surge epoch, like the selenium runs).
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
 }
 
 impl Result {
@@ -165,7 +159,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(121), &Config::quick())
+        run_with(&Scenario::baseline(121), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

@@ -187,13 +187,6 @@ pub fn run_with(
     Ok((merge(executed.values), executed.reports))
 }
 
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
-}
-
 impl Result {
     /// Renders the QoE table.
     pub fn render(&self) -> String {
@@ -224,7 +217,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(141), &Config::quick())
+        run_with(&Scenario::baseline(141), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

@@ -106,7 +106,14 @@ mod tests {
     use crate::scenario::Scenario;
 
     fn samples() -> PairedSamples {
-        website_curl::run(&Scenario::baseline(131), &website_curl::Config::quick()).samples
+        website_curl::run_with(
+            &Scenario::baseline(131),
+            &website_curl::Config::quick(),
+            &crate::executor::Parallelism::sequential(),
+        )
+        .expect("no panics")
+        .0
+        .samples
     }
 
     #[test]

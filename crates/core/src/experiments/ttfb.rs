@@ -104,13 +104,6 @@ pub fn run_with(
     Ok((merge(executed.values), executed.reports))
 }
 
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
-}
-
 impl Result {
     /// Fraction of sites with TTFB below `threshold` seconds for a PT.
     pub fn fraction_below(&self, pt: PtId, threshold: f64) -> f64 {
@@ -152,7 +145,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(61), &Config::quick())
+        run_with(&Scenario::baseline(61), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use ptperf_stats::{ascii_boxplots, Summary};
 use ptperf_transports::PtId;
+use ptperf_web::FaultSession;
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::{curl_site_averages_pooled, PairedSamples};
+use crate::measure::{curl_site_averages, PairedSamples};
 use crate::scenario::Scenario;
 
 use super::figure_order;
@@ -65,7 +66,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
             let sites = Arc::clone(&sites);
             Unit::pooled(format!("fig2a/{pt}"), move |rec, scratch| {
                 let mut rng = scenario.rng(&format!("fig2a/{pt}"));
-                let avgs = curl_site_averages_pooled(
+                let avgs = curl_site_averages(
                     &scenario,
                     pt,
                     &sites,
@@ -73,6 +74,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                     &mut rng,
                     rec,
                     &mut scratch.establish,
+                    &mut FaultSession::off(),
                 );
                 let n = avgs.len();
                 ((pt, avgs), n)
@@ -100,13 +102,6 @@ pub fn run_with(
 ) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
     let executed = crate::executor::run_units(par, units(scenario, cfg))?;
     Ok((merge(executed.values), executed.reports))
-}
-
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
 }
 
 impl Result {
@@ -138,7 +133,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(11), &Config::quick())
+        run_with(&Scenario::baseline(11), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]

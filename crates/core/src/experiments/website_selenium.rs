@@ -139,13 +139,6 @@ pub fn run_with(
     Ok((merge(executed.values), executed.reports))
 }
 
-/// Runs the experiment.
-pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
-}
-
 impl Result {
     /// Renders the Figure 2b boxplot.
     pub fn render(&self) -> String {
@@ -176,7 +169,9 @@ mod tests {
     use super::*;
 
     fn result() -> Result {
-        run(&Scenario::baseline(21), &Config::quick())
+        run_with(&Scenario::baseline(21), &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0
     }
 
     #[test]
@@ -190,8 +185,16 @@ mod tests {
     fn selenium_slower_than_curl() {
         let scenario = Scenario::baseline(22);
         let curl =
-            crate::experiments::website_curl::run(&scenario, &crate::experiments::website_curl::Config::quick());
-        let sel = run(&scenario, &Config::quick());
+            crate::experiments::website_curl::run_with(
+            &scenario,
+            &crate::experiments::website_curl::Config::quick(),
+            &Parallelism::sequential(),
+        )
+        .expect("no panics")
+        .0;
+        let sel = run_with(&scenario, &Config::quick(), &Parallelism::sequential())
+            .expect("no panics")
+            .0;
         // Page loads fetch many more resources.
         assert!(
             sel.samples.median(PtId::Vanilla) > curl.samples.median(PtId::Vanilla) * 1.5,

@@ -10,22 +10,23 @@
 //! * [`experiments`] — one runner per table/figure (Fig. 2a/2b, 3, 4, 5,
 //!   6, 7, 8, 9, 10, 11, 12; Tables 3–10; §4.7 medium study);
 //! * [`ecosystem`] — the Table 2 survey of all 28 candidate PTs;
-//! * [`campaign`] — the Table 1 plan and an end-to-end campaign runner;
+//! * [`campaign`] — the Table 1 plan and the corpus driver, which runs
+//!   any set of experiment families at one scale through one pool;
 //! * [`executor`] — the deterministic work-claiming parallel executor
-//!   the campaign and experiment runners are built on;
-//! * [`report`] — CSV export of results for external analysis;
-//! * [`schedule`] — the §5.1 ethical measurement planner (batching,
-//!   per-infrastructure rate limits, surge caution).
+//!   the corpus driver and experiment runners are built on;
+//! * [`report`] — CSV export of results for external analysis.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use ptperf::scenario::Scenario;
+//! use ptperf::executor::Parallelism;
 //! use ptperf::experiments::website_curl;
+//! use ptperf::scenario::Scenario;
 //!
 //! let scenario = Scenario::baseline(42);
 //! let cfg = website_curl::Config { sites_per_list: 10, repeats: 2 };
-//! let result = website_curl::run(&scenario, &cfg);
+//! let (result, _reports) = website_curl::run_with(&scenario, &cfg, &Parallelism::sequential())
+//!     .expect("no shard panics");
 //! // obfs4 is one of the fastest transports; marionette the slowest.
 //! let obfs4 = result.samples.median(ptperf_transports::PtId::Obfs4);
 //! let marionette = result.samples.median(ptperf_transports::PtId::Marionette);
@@ -42,7 +43,6 @@ pub mod experiments;
 pub mod measure;
 pub mod report;
 pub mod scenario;
-pub mod schedule;
 
 pub use executor::Parallelism;
 pub use measure::PairedSamples;

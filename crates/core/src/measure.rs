@@ -2,7 +2,7 @@
 //! workload through a transport, aggregate per-site averages, and hold
 //! paired samples for the statistical tables.
 
-use ptperf_obs::{NullRecorder, PhaseAccum, Recorder};
+use ptperf_obs::{PhaseAccum, Recorder};
 use ptperf_sim::SimRng;
 use ptperf_stats::{PairedTTest, Summary};
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
@@ -122,67 +122,18 @@ pub fn target_sites(n_per_list: usize) -> Vec<Website> {
 /// Measures curl website access time for one PT over `sites`, averaging
 /// `repeats` fetches per site (the paper used five). Returns per-site
 /// averages in site order.
-pub fn curl_site_averages(
-    scenario: &Scenario,
-    pt: PtId,
-    sites: &[Website],
-    repeats: usize,
-    rng: &mut SimRng,
-) -> Vec<f64> {
-    curl_site_averages_traced(scenario, pt, sites, repeats, rng, &mut NullRecorder)
-}
-
-/// [`curl_site_averages`] with observation: accumulates per-phase sim
-/// time (handshake / request / transfer) across all fetches and counts
-/// each fetch as one `events` tick. The un-traced entry point delegates
-/// here with a no-op recorder — both paths draw the identical RNG
-/// sequence, so recording cannot perturb the measurements.
-pub fn curl_site_averages_traced(
-    scenario: &Scenario,
-    pt: PtId,
-    sites: &[Website],
-    repeats: usize,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Vec<f64> {
-    curl_site_averages_pooled(scenario, pt, sites, repeats, rng, rec, &mut EstablishScratch::new())
-}
-
-/// [`curl_site_averages_traced`] against a caller-owned establishment
-/// scratch — the executor threads its per-worker
-/// [`crate::executor::UnitScratch::establish`] here so repeated curl
-/// units reuse the relay-selection buffers. Scratch warmth never
-/// changes results (the determinism suite proves it bit for bit); the
-/// other entry points delegate here with a cold scratch.
-pub fn curl_site_averages_pooled(
-    scenario: &Scenario,
-    pt: PtId,
-    sites: &[Website],
-    repeats: usize,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut EstablishScratch,
-) -> Vec<f64> {
-    curl_site_averages_faulted(
-        scenario,
-        pt,
-        sites,
-        repeats,
-        rng,
-        rec,
-        scratch,
-        &mut FaultSession::off(),
-    )
-}
-
-/// [`curl_site_averages_pooled`] through a [`FaultSession`] — the
-/// single model body behind every curl entry point. An off session
-/// routes each fetch through [`curl::fetch_faulted`]'s delegating arm,
-/// which is the plain [`curl::fetch`] with zero extra RNG draws, so
-/// the fault-free lanes stay bit-for-bit identical; an active session
-/// injects per the session's plan and accumulates disposition stats.
+///
+/// Each fetch goes through `faults`: an off session
+/// ([`FaultSession::off`]) makes [`curl::fetch_faulted`] the plain
+/// [`curl::fetch`] with zero extra RNG draws; an active session injects
+/// per its plan and accumulates disposition stats. With a recorder
+/// enabled, per-phase sim time (handshake / request / transfer) is
+/// accumulated across all fetches and each fetch counts as one `events`
+/// tick; recording draws nothing from `rng`, so it cannot perturb the
+/// measurements. `scratch` holds only reusable buffers, so its warmth
+/// never changes results either.
 #[allow(clippy::too_many_arguments)]
-pub fn curl_site_averages_faulted(
+pub fn curl_site_averages(
     scenario: &Scenario,
     pt: PtId,
     sites: &[Website],
@@ -260,7 +211,28 @@ pub(crate) fn record_fetch_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptperf_obs::NullRecorder;
     use ptperf_sim::Location;
+
+    /// Plain averages: no recording, cold scratch, faults off.
+    fn averages(
+        scenario: &Scenario,
+        pt: PtId,
+        sites: &[Website],
+        repeats: usize,
+        rng: &mut SimRng,
+    ) -> Vec<f64> {
+        curl_site_averages(
+            scenario,
+            pt,
+            sites,
+            repeats,
+            rng,
+            &mut NullRecorder,
+            &mut EstablishScratch::new(),
+            &mut FaultSession::off(),
+        )
+    }
 
     #[test]
     fn paired_samples_align() {
@@ -316,7 +288,7 @@ mod tests {
         let scenario = Scenario::baseline(5);
         let sites = target_sites(4);
         let mut rng = scenario.rng("test");
-        let avgs = curl_site_averages(&scenario, PtId::Vanilla, &sites, 2, &mut rng);
+        let avgs = averages(&scenario, PtId::Vanilla, &sites, 2, &mut rng);
         assert_eq!(avgs.len(), 8);
         assert!(avgs.iter().all(|&t| t > 0.0 && t <= 120.0));
     }
@@ -328,14 +300,16 @@ mod tests {
         let mut rng_a = scenario.rng("trace");
         let mut rng_b = scenario.rng("trace");
         let mut rec = ptperf_obs::MemoryRecorder::new();
-        let plain = curl_site_averages(&scenario, PtId::Obfs4, &sites, 2, &mut rng_a);
-        let traced = curl_site_averages_traced(
+        let plain = averages(&scenario, PtId::Obfs4, &sites, 2, &mut rng_a);
+        let traced = curl_site_averages(
             &scenario,
             PtId::Obfs4,
             &sites,
             2,
             &mut rng_b,
             &mut rec,
+            &mut EstablishScratch::new(),
+            &mut FaultSession::off(),
         );
         assert_eq!(
             plain.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -367,8 +341,8 @@ mod tests {
         let scenario = Scenario::baseline(6);
         let sites = target_sites(10);
         let mut rng = scenario.rng("cmp");
-        let obfs4 = curl_site_averages(&scenario, PtId::Obfs4, &sites, 2, &mut rng);
-        let marionette = curl_site_averages(&scenario, PtId::Marionette, &sites, 2, &mut rng);
+        let obfs4 = averages(&scenario, PtId::Obfs4, &sites, 2, &mut rng);
+        let marionette = averages(&scenario, PtId::Marionette, &sites, 2, &mut rng);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(
             mean(&marionette) > mean(&obfs4) * 2.0,

@@ -6,7 +6,8 @@
 //! cargo run --release --example streaming
 //! ```
 
-use ptperf::experiments::streaming::{run, Config};
+use ptperf::executor::Parallelism;
+use ptperf::experiments::streaming::{run_with, Config};
 use ptperf::scenario::Scenario;
 use ptperf_sim::SimDuration;
 use ptperf_transports::PtId;
@@ -21,7 +22,8 @@ fn main() {
         "Streaming 3 minutes of media through every transport ({} sessions each)...\n",
         cfg.sessions
     );
-    let result = run(&scenario, &cfg);
+    let (result, _) =
+        run_with(&scenario, &cfg, &Parallelism::sequential()).expect("no shard panics");
     println!("{}", result.render());
 
     let audio_ok: Vec<&str> = PtId::ALL_PTS

@@ -12,6 +12,10 @@
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
+#   4c. corpus driver: an all-target `repro --paper --workers 2` prints
+#      exactly the concatenation of the per-target runs (the campaign
+#      table's elapsed time and shard-time column masked), and
+#      `repro --csv DIR` writes each of the 10 CSV stems exactly once
 #   5. perf smoke: quick link-sharing benches + repro --bench-flow
 #      emitting BENCH_flow.json (fails on panic or non-finite output,
 #      never on speed thresholds); structural gates: exactly the two
@@ -108,6 +112,28 @@ awk -F'"value":' '
       exit 1
     }
   }' "$obs_dir/fault_trace.jsonl"
+
+echo "== corpus driver (all-target render = per-target renders; one write per CSV stem) =="
+bin=target/release/repro
+# The campaign table's wall clock differs run to run: mask the elapsed
+# figure and the last (shard-time) cell of each of its table rows.
+mask_wall_clock() {
+  sed -E -e 's/, [0-9.]+ s elapsed$/, * s elapsed/' \
+    -e '/^=+ campaign =+$/,/^=+ [a-z0-9]+ =+$/{/^\|/s/\|[^|]*\|$/| * |/}'
+}
+# Each run prints a two-line header (settings, blank) before its sections.
+"$bin" --quiet --paper --workers 2 | sed 1,2d | mask_wall_clock > "$obs_dir/corpus_all.txt"
+for t in $("$bin" --list); do
+  "$bin" --quiet --paper --workers 2 "$t" | sed 1,2d
+done | mask_wall_clock > "$obs_dir/corpus_each.txt"
+cmp "$obs_dir/corpus_all.txt" "$obs_dir/corpus_each.txt"
+"$bin" --workers 2 --csv "$obs_dir/csv" > /dev/null 2> "$obs_dir/csv.log"
+test "$(grep -c ' wrote ' "$obs_dir/csv.log")" -eq 10
+for stem in fig2a_samples tables_3_4_ttests table_10_categories fig2b_samples \
+  tables_5_6_ttests fig5_samples table_7_ttests fig8a_reliability \
+  fig11_speed_index tables_8_9_ttests; do
+  test "$(grep -c " wrote $obs_dir/csv/$stem.csv$" "$obs_dir/csv.log")" -eq 1
+done
 
 echo "== perf smoke (flow benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench flow > "$obs_dir/bench_flow.txt"

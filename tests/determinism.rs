@@ -1,6 +1,7 @@
 //! Determinism guarantees: the whole stack is reproducible bit-for-bit
 //! given a scenario seed, and genuinely different across seeds.
 
+use ptperf::executor::Parallelism;
 use ptperf::experiments::{file_download, ttfb, website_curl, website_selenium};
 use ptperf::scenario::Scenario;
 use ptperf_transports::PtId;
@@ -11,8 +12,12 @@ fn same_seed_identical_curl_results() {
         sites_per_list: 15,
         repeats: 2,
     };
-    let a = website_curl::run(&Scenario::baseline(99), &cfg);
-    let b = website_curl::run(&Scenario::baseline(99), &cfg);
+    let a = website_curl::run_with(&Scenario::baseline(99), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = website_curl::run_with(&Scenario::baseline(99), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     for pt in PtId::ALL_WITH_VANILLA {
         assert_eq!(
             a.samples.samples(pt),
@@ -28,8 +33,12 @@ fn different_seed_different_results() {
         sites_per_list: 15,
         repeats: 1,
     };
-    let a = website_curl::run(&Scenario::baseline(1), &cfg);
-    let b = website_curl::run(&Scenario::baseline(2), &cfg);
+    let a = website_curl::run_with(&Scenario::baseline(1), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = website_curl::run_with(&Scenario::baseline(2), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     assert_ne!(
         a.samples.samples(PtId::Vanilla),
         b.samples.samples(PtId::Vanilla)
@@ -42,8 +51,12 @@ fn same_seed_identical_selenium_results() {
         sites_per_list: 10,
         repeats: 1,
     };
-    let a = website_selenium::run(&Scenario::baseline(7), &cfg);
-    let b = website_selenium::run(&Scenario::baseline(7), &cfg);
+    let a = website_selenium::run_with(&Scenario::baseline(7), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = website_selenium::run_with(&Scenario::baseline(7), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     assert_eq!(
         a.samples.samples(PtId::Obfs4),
         b.samples.samples(PtId::Obfs4)
@@ -57,8 +70,12 @@ fn same_seed_identical_file_download_results() {
         attempts: 3,
         sizes: ptperf_web::FILE_SIZES,
     };
-    let a = file_download::run(&Scenario::baseline(63), &cfg);
-    let b = file_download::run(&Scenario::baseline(63), &cfg);
+    let a = file_download::run_with(&Scenario::baseline(63), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = file_download::run_with(&Scenario::baseline(63), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     assert_eq!(a.attempts.len(), b.attempts.len());
     for (pt, list) in &a.attempts {
         let other = &b.attempts[pt];
@@ -79,8 +96,12 @@ fn different_seed_different_file_download_results() {
         attempts: 3,
         sizes: ptperf_web::FILE_SIZES,
     };
-    let a = file_download::run(&Scenario::baseline(63), &cfg);
-    let b = file_download::run(&Scenario::baseline(64), &cfg);
+    let a = file_download::run_with(&Scenario::baseline(63), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = file_download::run_with(&Scenario::baseline(64), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     assert_ne!(
         a.paired.samples(PtId::Obfs4),
         b.paired.samples(PtId::Obfs4)
@@ -90,8 +111,12 @@ fn different_seed_different_file_download_results() {
 #[test]
 fn same_seed_identical_ttfb_results() {
     let cfg = ttfb::Config { sites_per_list: 12 };
-    let a = ttfb::run(&Scenario::baseline(17), &cfg);
-    let b = ttfb::run(&Scenario::baseline(17), &cfg);
+    let a = ttfb::run_with(&Scenario::baseline(17), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = ttfb::run_with(&Scenario::baseline(17), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     assert_eq!(a.ttfb.len(), b.ttfb.len());
     for (pt, samples) in &a.ttfb {
         assert_eq!(samples, &b.ttfb[pt], "{pt} diverged across identical runs");
@@ -102,8 +127,12 @@ fn same_seed_identical_ttfb_results() {
 #[test]
 fn different_seed_different_ttfb_results() {
     let cfg = ttfb::Config { sites_per_list: 12 };
-    let a = ttfb::run(&Scenario::baseline(17), &cfg);
-    let b = ttfb::run(&Scenario::baseline(18), &cfg);
+    let a = ttfb::run_with(&Scenario::baseline(17), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
+    let b = ttfb::run_with(&Scenario::baseline(18), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     assert_ne!(a.ttfb[&PtId::Vanilla], b.ttfb[&PtId::Vanilla]);
 }
 
@@ -136,7 +165,6 @@ fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
     // with caching bypassed every unit rebuilds from the seed. Raw
     // samples and rendered output must be bit-identical either way, at
     // any worker count.
-    use ptperf::executor::Parallelism;
     let cfg = file_download::Config {
         attempts: 3,
         sizes: ptperf_web::FILE_SIZES,
@@ -171,7 +199,7 @@ fn warm_scratch_matches_cold_scratch_bit_for_bit() {
     // worker) vs PerUnit (a cold scratch per unit) must be bit-identical
     // at 1 and 4 workers — the scratch holds buffers, never state that
     // feeds the measurement.
-    use ptperf::executor::{Parallelism, ScratchMode};
+    use ptperf::executor::ScratchMode;
     let cfg = website_selenium::Config {
         sites_per_list: 8,
         repeats: 1,
@@ -204,7 +232,6 @@ fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
     // across every unit; with caching bypassed each call regenerates the
     // corpus. Samples must be bit-identical either way at 1 and 4
     // workers.
-    use ptperf::executor::Parallelism;
     let cfg = website_curl::Config {
         sites_per_list: 10,
         repeats: 1,
@@ -247,7 +274,7 @@ fn cached_deployment_equals_a_fresh_standard_build() {
 
 #[test]
 fn phase_histograms_are_deterministic_and_merge_order_independent() {
-    use ptperf::executor::{Parallelism, Record};
+    use ptperf::executor::Record;
     use ptperf_bench::{run_target_obs, RunScale};
     use ptperf_obs::Hist;
     let scenario = Scenario::baseline(29);

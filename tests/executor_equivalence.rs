@@ -4,7 +4,7 @@
 //! seeds — and a panicking shard surfaces as an error without poisoning
 //! its siblings.
 
-use ptperf::campaign;
+use ptperf::campaign::{self, Corpus, Family, RunScale};
 use ptperf::executor::{self, Parallelism, Unit};
 use ptperf::experiments::{file_download, ttfb, website_curl};
 use ptperf::scenario::Scenario;
@@ -43,7 +43,8 @@ fn website_curl_is_invariant_under_parallelism() {
     };
     for seed in SEEDS {
         let scenario = Scenario::baseline(seed);
-        let reference = website_curl::run(&scenario, &cfg);
+        let (reference, _) =
+            website_curl::run_with(&scenario, &cfg, &Parallelism::sequential()).expect("no panics");
         for par in worker_grid() {
             let (result, reports) =
                 website_curl::run_with(&scenario, &cfg, &par).expect("no panics");
@@ -65,7 +66,8 @@ fn ttfb_is_invariant_under_parallelism() {
     let cfg = ttfb::Config { sites_per_list: 15 };
     for seed in SEEDS {
         let scenario = Scenario::baseline(seed);
-        let reference = ttfb::run(&scenario, &cfg);
+        let (reference, _) =
+            ttfb::run_with(&scenario, &cfg, &Parallelism::sequential()).expect("no panics");
         for par in worker_grid() {
             let (result, _) = ttfb::run_with(&scenario, &cfg, &par).expect("no panics");
             assert_eq!(result.ttfb.len(), reference.ttfb.len());
@@ -89,7 +91,8 @@ fn file_download_is_invariant_under_parallelism() {
     };
     for seed in SEEDS {
         let scenario = Scenario::baseline(seed);
-        let reference = file_download::run(&scenario, &cfg);
+        let (reference, _) =
+            file_download::run_with(&scenario, &cfg, &Parallelism::sequential()).expect("no panics");
         for par in worker_grid() {
             let (result, _) =
                 file_download::run_with(&scenario, &cfg, &par).expect("no panics");
@@ -115,96 +118,81 @@ fn file_download_is_invariant_under_parallelism() {
     }
 }
 
+/// The quick-scale campaign: its twelve families in one driver pool.
+fn quick_campaign(scenario: &Scenario, par: &Parallelism) -> Corpus {
+    campaign::run(scenario, RunScale::Quick, &Family::CAMPAIGN, par).expect("no panics")
+}
+
 #[test]
 fn whole_campaign_is_invariant_under_parallelism() {
+    use ptperf::experiments::{
+        fixed_circuit, fixed_guard, location, medium, overhead, reliability, snowflake_load,
+        speed_index, website_selenium,
+    };
     let scenario = Scenario::baseline(23);
-    let sequential = campaign::run_quick_with(&scenario, &Parallelism::sequential())
-        .expect("no panics");
-    let parallel = campaign::run_quick_with(&scenario, &Parallelism::new(4).with_chunk(2))
-        .expect("no panics");
+    let sequential = quick_campaign(&scenario, &Parallelism::sequential());
+    let parallel = quick_campaign(&scenario, &Parallelism::new(4).with_chunk(2));
 
     for pt in PtId::ALL_WITH_VANILLA {
         assert_bits_eq(
-            parallel.website_curl.samples.samples(pt),
-            sequential.website_curl.samples.samples(pt),
+            parallel.result::<website_curl::Result>().samples.samples(pt),
+            sequential.result::<website_curl::Result>().samples.samples(pt),
             &format!("campaign curl {pt}"),
         );
     }
     assert_eq!(
-        parallel.website_selenium.excluded,
-        sequential.website_selenium.excluded
+        parallel.result::<website_selenium::Result>().excluded,
+        sequential.result::<website_selenium::Result>().excluded
     );
     assert_bits_eq(
-        &parallel.fixed_circuit.abs_diffs,
-        &sequential.fixed_circuit.abs_diffs,
+        &parallel.result::<fixed_circuit::Result>().abs_diffs,
+        &sequential.result::<fixed_circuit::Result>().abs_diffs,
         "campaign fixed_circuit",
     );
     assert_bits_eq(
-        &parallel.fixed_guard.tor,
-        &sequential.fixed_guard.tor,
+        &parallel.result::<fixed_guard::Result>().tor,
+        &sequential.result::<fixed_guard::Result>().tor,
         "campaign fixed_guard",
     );
     assert_bits_eq(
-        &parallel.snowflake.pre,
-        &sequential.snowflake.pre,
+        &parallel.result::<snowflake_load::Result>().pre,
+        &sequential.result::<snowflake_load::Result>().pre,
         "campaign snowflake pre",
     );
     assert_eq!(
-        parallel.location.render(),
-        sequential.location.render(),
+        parallel.result::<location::Result>().render(),
+        sequential.result::<location::Result>().render(),
         "campaign location"
     );
     assert_eq!(
-        parallel.reliability.render_stacked(),
-        sequential.reliability.render_stacked()
+        parallel.result::<reliability::Result>().render_stacked(),
+        sequential.result::<reliability::Result>().render_stacked()
     );
-    assert_eq!(parallel.medium.render(), sequential.medium.render());
-    assert_eq!(parallel.overhead.render(), sequential.overhead.render());
+    assert_eq!(parallel.result::<medium::Result>().render(), sequential.result::<medium::Result>().render());
+    assert_eq!(parallel.result::<overhead::Result>().render(), sequential.result::<overhead::Result>().render());
     assert_eq!(
-        parallel.speed_index.render(),
-        sequential.speed_index.render()
+        parallel.result::<speed_index::Result>().render(),
+        sequential.result::<speed_index::Result>().render()
     );
-    assert_eq!(parallel.ttfb.render(), sequential.ttfb.render());
+    assert_eq!(parallel.result::<ttfb::Result>().render(), sequential.result::<ttfb::Result>().render());
     assert_eq!(
-        parallel.file_download.render(),
-        sequential.file_download.render()
+        parallel.result::<file_download::Result>().render(),
+        sequential.result::<file_download::Result>().render()
     );
 
-    // The stats cover the same shard pool either way.
-    assert_eq!(
-        parallel.stats.reports.len(),
-        sequential.stats.reports.len()
-    );
-    assert_eq!(parallel.stats.workers, 4);
-    assert_eq!(sequential.stats.workers, 1);
-    let labels = |r: &campaign::CampaignStats| -> Vec<String> {
-        r.reports.iter().map(|s| s.label.clone()).collect()
+    // The reports cover the same shard pool either way.
+    let reports = |c: &Corpus| -> Vec<ptperf::executor::ShardReport> {
+        c.families.iter().flat_map(|f| f.reports.clone()).collect()
     };
-    assert_eq!(labels(&parallel.stats), labels(&sequential.stats));
-    let samples = |r: &campaign::CampaignStats| -> Vec<usize> {
-        r.reports.iter().map(|s| s.samples).collect()
+    assert_eq!(reports(&parallel).len(), reports(&sequential).len());
+    assert_eq!(parallel.workers, 4);
+    assert_eq!(sequential.workers, 1);
+    let labels = |c: &Corpus| -> Vec<String> {
+        reports(c).iter().map(|s| s.label.clone()).collect()
     };
-    assert_eq!(samples(&parallel.stats), samples(&sequential.stats));
-}
-
-#[test]
-fn scheduled_campaign_is_invariant_under_parallelism() {
-    let scenario = Scenario::baseline(314);
-    let (sequential, _) =
-        campaign::run_scheduled_snowflake_with(&scenario, 1_200, &Parallelism::sequential())
-            .expect("no panics");
-    let (parallel, reports) =
-        campaign::run_scheduled_snowflake_with(&scenario, 1_200, &Parallelism::new(8))
-            .expect("no panics");
-    assert_eq!(sequential.len(), 1_200);
-    assert_eq!(parallel.len(), 1_200);
-    for (a, b) in parallel.iter().zip(&sequential) {
-        assert_eq!(a.at, b.at);
-        assert_eq!(a.load.to_bits(), b.load.to_bits());
-        assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
-    }
-    // 1200 slots at 250 per shard → 5 shards.
-    assert_eq!(reports.len(), 5);
+    assert_eq!(labels(&parallel), labels(&sequential));
+    let samples = |c: &Corpus| -> Vec<usize> { reports(c).iter().map(|s| s.samples).collect() };
+    assert_eq!(samples(&parallel), samples(&sequential));
 }
 
 #[test]
@@ -216,19 +204,17 @@ fn parallel_campaign_is_faster_on_multicore() {
     }
     let scenario = Scenario::baseline(42);
     // Warm once so lazy statics (site corpus) don't bias the timings.
-    let _ = campaign::run_quick_with(&scenario, &Parallelism::sequential());
+    let _ = quick_campaign(&scenario, &Parallelism::sequential());
 
     let t0 = std::time::Instant::now();
-    let seq = campaign::run_quick_with(&scenario, &Parallelism::sequential())
-        .expect("no panics");
+    let seq = quick_campaign(&scenario, &Parallelism::sequential());
     let sequential_wall = t0.elapsed();
 
     let t1 = std::time::Instant::now();
-    let par = campaign::run_quick_with(&scenario, &Parallelism::new(4))
-        .expect("no panics");
+    let par = quick_campaign(&scenario, &Parallelism::new(4));
     let parallel_wall = t1.elapsed();
 
-    assert_eq!(seq.stats.reports.len(), par.stats.reports.len());
+    assert_eq!(seq.campaign_stats().shards, par.campaign_stats().shards);
     // Generous bound (1.25×) to stay robust on loaded CI machines; the
     // typical speedup on 4 idle cores is ~3×.
     assert!(

@@ -2,6 +2,7 @@
 //! the full stack — these are the "did the reproduction reproduce?"
 //! checks, run at a slightly larger scale than the per-crate unit tests.
 
+use ptperf::executor::Parallelism;
 use ptperf::experiments::{
     file_download, fixed_circuit, location, reliability, snowflake_load, ttest_tables, ttfb,
     website_curl, website_selenium,
@@ -23,7 +24,9 @@ fn fig2a_ordering_matches_paper() {
         sites_per_list: 60,
         repeats: 3,
     };
-    let r = website_curl::run(&scenario(), &cfg);
+    let r = website_curl::run_with(&scenario(), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     let med = |pt| r.samples.median(pt);
 
     // The fast four of the paper (obfs4 2.4, webtunnel 3.2, cloak 2.8,
@@ -57,7 +60,9 @@ fn fig2b_set1_pts_beat_vanilla() {
         sites_per_list: 50,
         repeats: 1,
     };
-    let r = website_selenium::run(&scenario(), &cfg);
+    let r = website_selenium::run_with(&scenario(), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     let tor = r.samples.mean(PtId::Vanilla);
     for pt in [PtId::Obfs4, PtId::WebTunnel, PtId::Conjure] {
         assert!(
@@ -76,7 +81,9 @@ fn fig2b_set1_pts_beat_vanilla() {
 #[test]
 fn fig3_fixed_circuit_null_result() {
     let cfg = fixed_circuit::Config { iterations: 120 };
-    let r = fixed_circuit::run(&scenario(), &cfg);
+    let r = fixed_circuit::run_with(&scenario(), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     let tor_mean = ptperf_stats::mean(r.samples(PtId::Vanilla));
     for pt in [PtId::Obfs4, PtId::WebTunnel] {
         let t = r.ttest(pt, PtId::Vanilla);
@@ -100,7 +107,13 @@ fn fig3_fixed_circuit_null_result() {
 #[test]
 fn fig5_fig8_bulk_reliability_split() {
     let sc = scenario();
-    let fd = file_download::run(&sc, &file_download::Config { attempts: 6, sizes: ptperf_web::FILE_SIZES });
+    let fd = file_download::run_with(
+        &sc,
+        &file_download::Config { attempts: 6, sizes: ptperf_web::FILE_SIZES },
+        &Parallelism::sequential(),
+    )
+    .expect("no panics")
+    .0;
     let excluded = fd.excluded();
     for pt in [PtId::Meek, PtId::Dnstt, PtId::Snowflake] {
         assert!(excluded.contains(&pt), "{pt} should fail bulk downloads");
@@ -109,7 +122,13 @@ fn fig5_fig8_bulk_reliability_split() {
         assert!(fd.qualifies(pt), "{pt} should complete bulk downloads");
     }
 
-    let rel = reliability::run(&sc, &reliability::Config { attempts: 10, sizes: ptperf_web::FILE_SIZES });
+    let rel = reliability::run_with(
+        &sc,
+        &reliability::Config { attempts: 10, sizes: ptperf_web::FILE_SIZES },
+        &Parallelism::sequential(),
+    )
+    .expect("no panics")
+    .0;
     for pt in reliability::WORST {
         assert!(
             rel.incomplete_fraction(pt) > 0.75,
@@ -130,7 +149,7 @@ fn fig5_fig8_bulk_reliability_split() {
 fn fig8_fault_plan_reproduces_reliability_fractions() {
     let sc = scenario().with_faults(FaultConfig::Plan(FaultProfile::paper()));
     let cfg = reliability::Config { attempts: 10, sizes: ptperf_web::FILE_SIZES };
-    let rel = reliability::run(&sc, &cfg);
+    let rel = reliability::run_with(&sc, &cfg, &Parallelism::sequential()).expect("no panics").0;
 
     // Fig. 8a, worst trio: >80% of attempts incomplete even with
     // retry/backoff trying to save them (the surge epoch's degradation
@@ -161,7 +180,7 @@ fn fig8_fault_plan_reproduces_reliability_fractions() {
 
     // Golden replay: the same seed reproduces the exact same outcome
     // counts and per-attempt fractions.
-    let again = reliability::run(&sc, &cfg);
+    let again = reliability::run_with(&sc, &cfg, &Parallelism::sequential()).expect("no panics").0;
     assert_eq!(rel.counts, again.counts, "fault-laden fig8 counts not replayable");
     assert_eq!(rel.fractions, again.fractions, "fault-laden fig8 fractions not replayable");
 }
@@ -170,7 +189,13 @@ fn fig8_fault_plan_reproduces_reliability_fractions() {
 /// meek, marionette, camoufler.
 #[test]
 fn fig6_ttfb_split() {
-    let r = ttfb::run(&scenario(), &ttfb::Config { sites_per_list: 60 });
+    let r = ttfb::run_with(
+        &scenario(),
+        &ttfb::Config { sites_per_list: 60 },
+        &Parallelism::sequential(),
+    )
+    .expect("no panics")
+    .0;
     for pt in PtId::ALL_WITH_VANILLA {
         let frac = r.fraction_below(pt, 5.0);
         match pt {
@@ -186,14 +211,17 @@ fn fig6_ttfb_split() {
 /// Bangalore is the slowest vantage point.
 #[test]
 fn fig7_location_invariance() {
-    let r = location::run(
+    let r = location::run_with(
         &scenario(),
         &location::Config {
             sites_per_list: 25,
             repeats: 1,
             all_pts: false,
         },
-    );
+        &Parallelism::sequential(),
+    )
+    .expect("no panics")
+    .0;
     for &client in &Location::CLIENTS {
         assert!(
             r.median_by_client(client, PtId::Obfs4) < r.median_by_client(client, PtId::Meek),
@@ -216,7 +244,9 @@ fn fig10_surge_significance() {
         monitor_weeks: 3,
         monitor_sites: 50,
     };
-    let r = snowflake_load::run(&scenario(), &cfg);
+    let r = snowflake_load::run_with(&scenario(), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     let t = r.ttest();
     assert!(t.significant(), "pre/post not significant: p = {}", t.p);
     assert!(t.mean_diff < 0.0, "post should be slower");
@@ -237,7 +267,9 @@ fn table10_category_ordering() {
         sites_per_list: 50,
         repeats: 2,
     };
-    let r = website_curl::run(&scenario(), &cfg);
+    let r = website_curl::run_with(&scenario(), &cfg, &Parallelism::sequential())
+        .expect("no panics")
+        .0;
     let rows = ttest_tables::category_pairwise(&r.samples);
     let diff = |label: &str| {
         rows.iter()
