@@ -1,24 +1,20 @@
 //! Criterion benchmarks for whole measurement units: the warm pooled
 //! pipeline (persistent [`UnitScratch`], indexed establish, in-place
-//! link sharing) vs the retained allocating reference path (cold
-//! full-scan scratch per unit, cold page scratch per page load), over
-//! the standard classes from
-//! [`ptperf_bench::unitbench`], plus the scenario's site-workload memo.
+//! link sharing) over the standard classes from
+//! [`ptperf_bench::unitbench`], plus the scenario's site-workload memo
+//! against a direct `Website::top` build.
 //!
-//! The headline pair the PR trajectory tracks is
-//! `unit/browser_obfs4_16_pooled` vs `unit/browser_obfs4_16_reference`
-//! — the class where page-load link sharing dominates unit time and
-//! pooling pays the most.
+//! The headline the PR trajectory tracks is
+//! `unit/browser_obfs4_16_pooled`: the class where page-load link
+//! sharing dominates unit time.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use ptperf::executor::UnitScratch;
 use ptperf::scenario::Scenario;
-use ptperf_bench::unitbench::{
-    run_unit_pooled, run_unit_reference, standard_workloads, Fixture,
-};
-use ptperf_web::SiteList;
+use ptperf_bench::unitbench::{run_unit_pooled, standard_workloads, Fixture};
+use ptperf_web::{SiteList, Website};
 
 fn bench_units(c: &mut Criterion) {
     let mut g = c.benchmark_group("unit");
@@ -29,9 +25,6 @@ fn bench_units(c: &mut Criterion) {
             let mut scratch = UnitScratch::new();
             b.iter(|| black_box(run_unit_pooled(w, &fx, &mut scratch)))
         });
-        g.bench_function(format!("{}_reference", w.name), |b| {
-            b.iter(|| black_box(run_unit_reference(w, &fx)))
-        });
     }
     g.finish();
 }
@@ -40,9 +33,7 @@ fn bench_site_memo(c: &mut Criterion) {
     let mut g = c.benchmark_group("site_memo");
     const CORPUS: usize = 200;
     g.bench_function("rebuild_200", |b| {
-        let scenario = Scenario::baseline(23);
-        scenario.set_site_caching(false);
-        b.iter(|| black_box(scenario.top_sites(SiteList::Tranco, CORPUS)))
+        b.iter(|| black_box(Website::top(SiteList::Tranco, CORPUS)))
     });
     g.bench_function("cached_200", |b| {
         let scenario = Scenario::baseline(23);

@@ -320,8 +320,8 @@ fn print_help() {
          per-family table of measurements, simulated seconds, and throughput.\n\
          --check-bench DIR compares fresh BENCH_*.json files in DIR\n\
          against the committed baselines in the current directory and\n\
-         exits non-zero on a p50 regression past the tolerance\n\
-         (PTPERF_BENCH_TOL, default 2.5x; PTPERF_BENCH_MIN_RUNS minimum\n\
+         exits non-zero on a p50 regression past the tolerance or on a\n\
+         baseline p50 entry the fresh file lacks (PTPERF_BENCH_TOL, default 2.5x; PTPERF_BENCH_MIN_RUNS minimum\n\
          fresh run count, default 10; PTPERF_BENCH_ABS absolute floor in\n\
          us, default 1.0; PTPERF_BENCH_DRIFT=warn reports without\n\
          failing), emitting a machine-readable verdict JSON on stdout.\n\
@@ -331,15 +331,15 @@ fn print_help() {
          writes BENCH_flow.json\n\
          (path override: --bench-out; runs per class:\n\
          PTPERF_FLOWBENCH_RUNS, default 400), then exits.\n\
-         --bench-establish benchmarks channel establishment (indexed\n\
-         path selection vs the reference scan oracle at 600 and 5000\n\
-         relays, establishes/s, fast-path fraction, allocations per\n\
-         establish, deployment-memo savings) and writes\n\
+         --bench-establish benchmarks channel establishment (warm\n\
+         p50/p95 per establish at 600 and 5000 relays, establishes/s,\n\
+         fast-path fraction, allocations per establish, deployment-memo\n\
+         savings) and writes\n\
          BENCH_establish.json (path override: --bench-out; runs per\n\
          class: PTPERF_ESTABLISHBENCH_RUNS, default 400), then exits.\n\
          --bench-unit benchmarks whole measurement units (warm pooled\n\
-         pipeline vs the retained allocating reference path, per workload\n\
-         class: browser page loads, curl fetches, file downloads;\n\
+         pipeline p50/p95 per workload class: browser page loads, curl\n\
+         fetches, file downloads;\n\
          units/s, allocations per warm unit, site-workload-memo savings)\n\
          and writes BENCH_unit.json (path override: --bench-out; runs\n\
          per class: PTPERF_UNITBENCH_RUNS, default 200), then exits.\n\

@@ -3,26 +3,27 @@
 //!
 //! Companion to [`crate::flowbench`], for the other hot loop of every
 //! campaign: building channels. For each (transport, consensus size)
-//! class it measures warm per-establish wall time through the indexed
-//! pick path against the retained reference (full-scan) oracle, the
+//! class it measures warm per-establish wall time, the
 //! establishes-per-second it sustains, how often the indexed fast path
-//! resolves a pick without falling back to the scan, and whether the
-//! persistent [`EstablishScratch`] still allocates once warm. A separate
-//! section times the scenario's deployment memo: cached fetch vs a full
-//! consensus rebuild.
+//! resolves a pick without falling back to the exact scan, and whether
+//! the persistent [`EstablishScratch`] still allocates once warm. A
+//! separate section times the scenario's deployment memo: cached fetch
+//! vs a full [`Deployment::standard`] build.
 //!
 //! Determinism note: every timed run replays the same establish sequence
 //! from a fixed per-run seed, so the *work* is identical run to run and
-//! across commits; only wall-clock numbers move. Warmups assert that the
-//! indexed and reference lanes produce bit-identical channels from
-//! identical RNG draw sequences — the benchmark refuses to time two
-//! implementations that disagree. The harness fails hard on NaN or
+//! across commits; only wall-clock numbers move. Warmups assert that a
+//! warm scratch produces bit-identical channels, from identical RNG draw
+//! sequences, to a cold one — the benchmark refuses to time a scratch
+//! that leaks state into results. (Pick-level equivalence with the
+//! full-scan reference pick is a test property:
+//! `tests/path_equivalence.rs`.) The harness fails hard on NaN or
 //! non-finite measurements but never on thresholds: speed regressions
 //! are for review to catch, not CI flakes.
 
 use ptperf::scenario::Scenario;
 use ptperf_obs::json;
-use ptperf_sim::{Location, SimRng};
+use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_tor::ConsensusParams;
 use ptperf_transports::{
     transport_for, AccessOptions, Deployment, EstablishScratch, PtId,
@@ -67,14 +68,8 @@ pub struct ClassResult {
     pub idx_p50_us: f64,
     /// Indexed-path p95 wall time per establish, microseconds.
     pub idx_p95_us: f64,
-    /// Reference-oracle p50 wall time per establish, microseconds.
-    pub ref_p50_us: f64,
-    /// Reference-oracle p95 wall time per establish, microseconds.
-    pub ref_p95_us: f64,
     /// Establishes per second at the indexed p50.
     pub establishes_per_sec: f64,
-    /// `ref_p50 / idx_p50` — the headline speedup.
-    pub speedup_p50: f64,
     /// Scratch-buffer growths during the timed indexed runs divided by
     /// timed establishes. Should be 0 once warm.
     pub allocs_per_establish: f64,
@@ -83,7 +78,7 @@ pub struct ClassResult {
 /// Deployment-memo timings: what `Scenario::deployment` sharing saves.
 #[derive(Debug)]
 pub struct DeploymentResult {
-    /// Full rebuild p50 (cache bypassed), microseconds.
+    /// Full `Deployment::standard` build p50, microseconds.
     pub rebuild_p50_us: f64,
     /// Cached fetch p50 (Arc clone out of the memo), microseconds.
     pub cached_p50_us: f64,
@@ -94,8 +89,8 @@ pub struct DeploymentResult {
 }
 
 /// The standard classes: the two headline transports at the default
-/// 600-relay consensus and at 5000 relays (the scale where the scan
-/// oracle's O(n) per pick bites). Fixed seeds keep workloads
+/// 600-relay consensus and at 5000 relays (the scale where an O(n)
+/// scan per pick would bite). Fixed seeds keep workloads
 /// byte-for-byte identical across runs.
 pub fn standard_workloads() -> Vec<Workload> {
     let opts = AccessOptions::new(Location::London);
@@ -131,49 +126,49 @@ fn assert_finite(name: &str, what: &str, x: f64) {
     emit::assert_finite(&format!("establish bench {name}"), what, x);
 }
 
-/// Benchmarks one class: warmups prove the indexed lane is draw- and
-/// bit-identical to the reference oracle, then `runs` timed batches of
-/// [`ESTABLISHES_PER_RUN`] establishes per lane, every batch replaying
-/// the same fixed-seed sequence.
+const RUN_SEED: u64 = 7;
+
+/// One batch's channels, reduced to the fields the warmup gate compares
+/// bit for bit, plus the RNG state after the batch (its draw count).
+type BatchPrint = (Vec<(SimDuration, SimDuration, u64)>, SimRng);
+
+/// Runs one fixed-seed batch of establishes through `scratch`.
+fn batch_print(w: &Workload, scratch: &mut EstablishScratch) -> BatchPrint {
+    let transport = transport_for(w.pt);
+    let mut rng = SimRng::new(RUN_SEED);
+    let channels = (0..ESTABLISHES_PER_RUN)
+        .map(|_| {
+            let ch =
+                transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, scratch);
+            let bottleneck = ch.response.bottleneck_bps.to_bits();
+            (ch.setup, ch.request_rtt, bottleneck)
+        })
+        .collect();
+    (channels, rng)
+}
+
+/// Benchmarks one class: warmups prove a warm scratch is draw- and
+/// bit-identical to a cold one, then `runs` timed batches of
+/// [`ESTABLISHES_PER_RUN`] establishes, every batch replaying the same
+/// fixed-seed sequence.
 pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
-    const RUN_SEED: u64 = 7;
     let transport = transport_for(w.pt);
     let mut idx_scratch = EstablishScratch::new();
-    let mut ref_scratch = EstablishScratch::reference_oracle();
 
-    // Warmup + equivalence gate: same seeds, both lanes, channels and
-    // draw counts must match exactly.
+    // Warmup + warmth gate: every warm batch must replay, channel for
+    // channel and draw for draw, the batch a cold scratch produces.
+    let cold = batch_print(w, &mut EstablishScratch::new());
     for warm in 0..3 {
-        let mut rng_i = SimRng::new(RUN_SEED);
-        let mut rng_r = SimRng::new(RUN_SEED);
-        for i in 0..ESTABLISHES_PER_RUN {
-            let a = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng_i, &mut idx_scratch);
-            let b = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng_r, &mut ref_scratch);
-            assert_eq!(
-                rng_i, rng_r,
-                "establish bench {}: draw-count divergence at warmup {warm} establish {i}",
-                w.name
-            );
-            assert_eq!(a.setup, b.setup, "{}: setup divergence", w.name);
-            assert_eq!(a.request_rtt, b.request_rtt, "{}: rtt divergence", w.name);
-            assert_eq!(
-                a.response.bottleneck_bps.to_bits(),
-                b.response.bottleneck_bps.to_bits(),
-                "{}: bottleneck divergence",
-                w.name
-            );
-        }
+        assert!(
+            batch_print(w, &mut idx_scratch) == cold,
+            "establish bench {}: warm scratch diverged from cold at warmup {warm}",
+            w.name
+        );
     }
 
     // Pick accounting for this class, measured over one untimed batch.
     let picks_before = ptperf_obs::perf::snapshot();
-    {
-        let mut rng = SimRng::new(RUN_SEED);
-        for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, &mut idx_scratch);
-            std::hint::black_box(ch);
-        }
-    }
+    std::hint::black_box(batch_print(w, &mut idx_scratch));
     let picks_delta = ptperf_obs::perf::snapshot().delta_since(&picks_before);
     let batch_picks = picks_delta.path_index_pick + picks_delta.path_scan_fallback;
     let picks_per_establish = batch_picks as f64 / ESTABLISHES_PER_RUN as f64;
@@ -199,16 +194,7 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     }));
     let grows_during = idx_scratch.grows() - grows_before;
 
-    let ref_us = per_establish(emit::timed_runs(runs, || {
-        let mut rng = SimRng::new(RUN_SEED);
-        for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, &mut ref_scratch);
-            std::hint::black_box(ch);
-        }
-    }));
-
     let (idx_p50, idx_p95) = emit::p50_p95(&idx_us);
-    let (ref_p50, ref_p95) = emit::p50_p95(&ref_us);
     let establishes_per_sec = emit::per_sec(1.0, idx_p50);
     let total_establishes = (runs * ESTABLISHES_PER_RUN) as f64;
     let allocs_per_establish = grows_during as f64 / total_establishes;
@@ -216,8 +202,6 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     for (what, x) in [
         ("indexed p50", idx_p50),
         ("indexed p95", idx_p95),
-        ("reference p50", ref_p50),
-        ("reference p95", ref_p95),
         ("allocs/establish", allocs_per_establish),
         ("picks/establish", picks_per_establish),
     ] {
@@ -231,24 +215,21 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
         index_pick_fraction,
         idx_p50_us: idx_p50,
         idx_p95_us: idx_p95,
-        ref_p50_us: ref_p50,
-        ref_p95_us: ref_p95,
         establishes_per_sec,
-        speedup_p50: emit::speedup(ref_p50, idx_p50),
         allocs_per_establish,
     }
 }
 
-/// Times the deployment memo: p50 of a full rebuild (cache bypassed)
-/// vs a cached fetch, plus the `deployment/rebuilds_saved` ticks the
-/// cached lane produced.
+/// Times the deployment memo: p50 of a full
+/// [`Deployment::standard`] build vs a cached fetch, plus the
+/// `deployment/rebuilds_saved` ticks the cached lane produced.
 pub fn bench_deployment(runs: usize) -> DeploymentResult {
     let scenario = Scenario::baseline(21);
 
-    scenario.set_deployment_caching(false);
-    let rebuild_us = emit::timed_runs(runs, || scenario.deployment());
+    let rebuild_us = emit::timed_runs(runs, || {
+        Deployment::standard(scenario.seed, scenario.server_region)
+    });
 
-    scenario.set_deployment_caching(true);
     let dep = scenario.deployment(); // populate the memo
     std::hint::black_box(dep);
     let saved_before = ptperf_obs::perf::snapshot();
@@ -291,18 +272,14 @@ pub fn render_json(results: &[ClassResult], dep: &DeploymentResult, runs: usize)
             format!(
                 "    {{\"name\": {}, \"relays\": {}, \"picks_per_establish\": {}, \
                  \"index_pick_fraction\": {}, \"indexed\": {{\"p50_us\": {}, \"p95_us\": {}}}, \
-                 \"reference\": {{\"p50_us\": {}, \"p95_us\": {}}}, \"establishes_per_sec\": {}, \
-                 \"speedup_p50\": {}, \"allocs_per_establish\": {}}}",
+                 \"establishes_per_sec\": {}, \"allocs_per_establish\": {}}}",
                 json::string(r.name),
                 r.relays,
                 json::number(r.picks_per_establish),
                 json::number(r.index_pick_fraction),
                 json::number(r.idx_p50_us),
                 json::number(r.idx_p95_us),
-                json::number(r.ref_p50_us),
-                json::number(r.ref_p95_us),
                 json::number(r.establishes_per_sec),
-                json::number(r.speedup_p50),
                 json::number(r.allocs_per_establish),
             )
         })
@@ -316,7 +293,7 @@ pub fn render_json(results: &[ClassResult], dep: &DeploymentResult, runs: usize)
         dep.rebuilds_saved,
     );
     emit::json_shell(
-        "ptperf-bench-establish/v1",
+        "ptperf-bench-establish/v2",
         runs,
         &[
             format!("  \"establishes_per_run\": {ESTABLISHES_PER_RUN}"),
@@ -335,8 +312,6 @@ pub fn render_table(results: &[ClassResult], dep: &DeploymentResult, runs: usize
         "idx%",
         "idx p50 (µs)",
         "idx p95 (µs)",
-        "ref p50 (µs)",
-        "speedup",
         "est/s",
         "allocs/est",
     ]);
@@ -348,8 +323,6 @@ pub fn render_table(results: &[ClassResult], dep: &DeploymentResult, runs: usize
             format!("{:.0}%", 100.0 * r.index_pick_fraction),
             format!("{:.2}", r.idx_p50_us),
             format!("{:.2}", r.idx_p95_us),
-            format!("{:.2}", r.ref_p50_us),
-            format!("{:.2}x", r.speedup_p50),
             format!("{:.0}", r.establishes_per_sec),
             format!("{:.4}", r.allocs_per_establish),
         ]);
@@ -409,7 +382,7 @@ mod tests {
         let dep = bench_deployment(4);
         assert!(dep.rebuilds_saved >= 4);
         let json = render_json(&[r], &dep, 4);
-        assert!(json.contains("\"schema\": \"ptperf-bench-establish/v1\""));
+        assert!(json.contains("\"schema\": \"ptperf-bench-establish/v2\""));
         assert!(json.contains("\"vanilla_600\""));
         assert!(json.contains("\"deployment\""));
         assert!(json.ends_with("\n"));

@@ -18,6 +18,9 @@
 //! Only *slowdowns* fail the gate (`fresh > baseline × tolerance`);
 //! speedups beyond the same tolerance are reported informationally so
 //! a stale baseline is visible without blocking an optimization PR.
+//! A baseline entry with no fresh counterpart is reported as *missing*
+//! and fails the gate too: a fresh document whose classes were renamed
+//! or dropped would otherwise compare nothing and pass.
 //! Knobs: `PTPERF_BENCH_TOL` (relative tolerance, default 2.5),
 //! `PTPERF_BENCH_MIN_RUNS` (default 10), `PTPERF_BENCH_ABS` (µs floor,
 //! default 1.0), and `PTPERF_BENCH_DRIFT` (`fail` | `warn`, default
@@ -118,6 +121,9 @@ pub struct FileReport {
     pub regressions: Vec<PairDrift>,
     /// Pairs that got faster past the tolerance (informational).
     pub improvements: Vec<PairDrift>,
+    /// Baseline `*p50_us` paths the fresh document lacks (fail the
+    /// gate).
+    pub missing: Vec<String>,
 }
 
 /// Collects every `*p50_us` numeric field of `doc` as
@@ -187,6 +193,7 @@ pub fn compare_docs(
     let fresh_entries = collect_p50(fresh);
     for (path, base_us) in &base_entries {
         let Some((_, fresh_us)) = fresh_entries.iter().find(|(p, _)| p == path) else {
+            report.missing.push(path.clone());
             continue;
         };
         report.compared += 1;
@@ -240,7 +247,9 @@ pub fn check_dirs(
         }
         reports.push(report);
     }
-    let regressed = reports.iter().any(|r| !r.regressions.is_empty());
+    let regressed = reports
+        .iter()
+        .any(|r| !r.regressions.is_empty() || !r.missing.is_empty());
     let verdict = match (regressed, cfg.fail_mode) {
         (false, _) => "pass",
         (true, true) => "fail",
@@ -277,14 +286,16 @@ pub fn render_report(reports: &[FileReport], cfg: &RegressConfig, verdict: &str)
                 Some(reason) => json::string(reason),
                 None => "null".to_string(),
             };
+            let missing = r.missing.iter().map(|p| json::string(p)).collect::<Vec<_>>();
             format!(
-                "{{\"file\":{},\"runs\":{},\"compared\":{},\"skipped\":{},\"regressions\":[{}],\"improvements\":[{}]}}",
+                "{{\"file\":{},\"runs\":{},\"compared\":{},\"skipped\":{},\"regressions\":[{}],\"improvements\":[{}],\"missing\":[{}]}}",
                 json::string(&r.file),
                 json::number(r.runs),
                 r.compared,
                 skipped,
                 drifts(&r.regressions),
-                drifts(&r.improvements)
+                drifts(&r.improvements),
+                missing.join(",")
             )
         })
         .collect::<Vec<_>>()
@@ -333,6 +344,7 @@ mod tests {
         let doc = bench_doc(27.0);
         let report = compare_docs("BENCH_flow.json", &doc, &doc, &RegressConfig::default());
         assert_eq!(report.compared, 3);
+        assert!(report.missing.is_empty());
         assert!(report.regressions.is_empty());
         assert!(report.improvements.is_empty());
         assert!(report.skipped.is_none());
@@ -419,6 +431,63 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn fresh_doc_with_a_renamed_class_fails() {
+        let dir = std::env::temp_dir().join(format!(
+            "ptperf-regress-renamed-{}",
+            std::process::id()
+        ));
+        let base_dir = dir.join("base");
+        let fresh_dir = dir.join("fresh");
+        std::fs::create_dir_all(&base_dir).unwrap();
+        std::fs::create_dir_all(&fresh_dir).unwrap();
+        let base = "{\"runs_per_class\":400,\"classes\":[{\"name\":\"c\",\"optimized\":{\"p50_us\":10.0}}]}";
+        let renamed = "{\"runs_per_class\":400,\"classes\":[{\"name\":\"d\",\"optimized\":{\"p50_us\":10.0}}]}";
+        std::fs::write(base_dir.join("BENCH_x.json"), base).unwrap();
+        std::fs::write(fresh_dir.join("BENCH_x.json"), renamed).unwrap();
+        let cfg = RegressConfig::default();
+        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, &cfg);
+        let warn_cfg = RegressConfig { fail_mode: false, ..cfg };
+        let (warn_doc, warn_ok) = check_dirs(&base_dir, &fresh_dir, &warn_cfg);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(!ok, "a fresh doc that compares nothing must fail: {doc}");
+        assert!(doc.contains("\"compared\":0"), "{doc}");
+        assert!(
+            doc.contains("\"missing\":[\"classes/c/optimized/p50_us\"]"),
+            "{doc}"
+        );
+        assert!(doc.contains("\"verdict\":\"fail\""), "{doc}");
+        json::parse(&doc).expect("verdict is valid JSON");
+        // Warn mode reports the same gap but passes.
+        assert!(warn_ok);
+        assert!(warn_doc.contains("\"verdict\":\"warn\""), "{warn_doc}");
+    }
+
+    #[test]
+    fn missing_entries_are_listed_unless_below_the_run_floor() {
+        let base = bench_doc(27.0);
+        let dropped = json::parse(
+            "{\"runs_per_class\":400,\"classes\":[{\"name\":\"browser_64\",\
+             \"optimized\":{\"p50_us\":27.0}}]}",
+        )
+        .unwrap();
+        let cfg = RegressConfig::default();
+        let report = compare_docs("BENCH_flow.json", &base, &dropped, &cfg);
+        assert_eq!(report.compared, 1);
+        assert_eq!(
+            report.missing,
+            vec![
+                "classes/browser_64/reference/p50_us".to_string(),
+                "sites/cached_p50_us".to_string()
+            ]
+        );
+        // Below the run floor nothing is compared, so nothing is missing.
+        let short = json::parse("{\"runs_per_class\":3,\"classes\":[]}").unwrap();
+        let report = compare_docs("BENCH_flow.json", &base, &short, &cfg);
+        assert!(report.skipped.is_some());
+        assert!(report.missing.is_empty());
     }
 
     #[test]

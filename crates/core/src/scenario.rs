@@ -2,7 +2,6 @@
 //! under — deployment seed, client/server locations, access medium, and
 //! the snowflake load epoch.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ptperf_sim::fault::FaultBias;
@@ -25,7 +24,6 @@ type CacheKey = (u64, Location);
 
 #[derive(Debug, Default)]
 struct DeploymentCache {
-    bypass: AtomicBool,
     entries: Mutex<Vec<(CacheKey, Arc<Deployment>)>>,
 }
 
@@ -41,7 +39,6 @@ type SiteKey = (Option<SiteList>, usize);
 /// unit. Same linear-scan-vec shape as [`DeploymentCache`].
 #[derive(Debug, Default)]
 struct SiteCache {
-    bypass: AtomicBool,
     entries: Mutex<Vec<(SiteKey, Arc<[Website]>)>>,
 }
 
@@ -145,9 +142,6 @@ impl Scenario {
     /// sharing is observationally identical to rebuilding (the
     /// determinism suite proves this bit-for-bit).
     pub fn deployment(&self) -> Arc<Deployment> {
-        if self.dep_cache.bypass.load(Ordering::Relaxed) {
-            return Arc::new(Deployment::standard(self.seed, self.server_region));
-        }
         let key = (self.seed, self.server_region);
         let mut entries = self.dep_cache.entries.lock().unwrap();
         if let Some((_, dep)) = entries.iter().find(|(k, _)| *k == key) {
@@ -166,13 +160,6 @@ impl Scenario {
         Deployment::standard(self.seed, self.server_region)
     }
 
-    /// Toggles deployment memoization (on by default). The off position
-    /// is the A/B lane for the determinism suite and the establish
-    /// benchmark: every `deployment()` call rebuilds from the seed.
-    pub fn set_deployment_caching(&self, enabled: bool) {
-        self.dep_cache.bypass.store(!enabled, Ordering::Relaxed);
-    }
-
     /// The paper's standard mixed workload — `n` sites from each of
     /// Tranco and CBL — built once per `n` and shared by reference
     /// across all families and executor shards, exactly like
@@ -189,9 +176,6 @@ impl Scenario {
     }
 
     fn sites_for(&self, key: SiteKey) -> Arc<[Website]> {
-        if self.site_cache.bypass.load(Ordering::Relaxed) {
-            return build_sites(key);
-        }
         let mut entries = self.site_cache.entries.lock().unwrap();
         if let Some((_, sites)) = entries.iter().find(|(k, _)| *k == key) {
             ptperf_obs::perf::incr_site_rebuilds_saved();
@@ -200,13 +184,6 @@ impl Scenario {
         let sites = build_sites(key);
         entries.push((key, Arc::clone(&sites)));
         sites
-    }
-
-    /// Toggles site-workload memoization (on by default). The off
-    /// position is the A/B lane for the determinism suite: every
-    /// `target_sites`/`top_sites` call regenerates the corpus.
-    pub fn set_site_caching(&self, enabled: bool) {
-        self.site_cache.bypass.store(!enabled, Ordering::Relaxed);
     }
 
     /// Per-measurement access options.
@@ -301,18 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn caching_can_be_bypassed_for_ab_runs() {
-        let s = Scenario::baseline(13);
-        let warm = s.deployment();
-        s.set_deployment_caching(false);
-        let cold = s.deployment();
-        assert!(!Arc::ptr_eq(&warm, &cold), "bypass still hit the cache");
-        assert_eq!(*warm, *cold, "rebuild diverged from the cached build");
-        s.set_deployment_caching(true);
-        assert!(Arc::ptr_eq(&warm, &s.deployment()));
-    }
-
-    #[test]
     fn site_workloads_are_shared_across_calls_and_clones() {
         let s = Scenario::baseline(21);
         let a = s.target_sites(7);
@@ -335,18 +300,6 @@ mod tests {
         assert_eq!(&cached[..], &crate::measure::target_sites(4)[..]);
         let top = s.top_sites(SiteList::Cbl, 5);
         assert_eq!(&top[..], &Website::top(SiteList::Cbl, 5)[..]);
-    }
-
-    #[test]
-    fn site_caching_can_be_bypassed_for_ab_runs() {
-        let s = Scenario::baseline(23);
-        let warm = s.target_sites(3);
-        s.set_site_caching(false);
-        let cold = s.target_sites(3);
-        assert!(!Arc::ptr_eq(&warm, &cold), "bypass still hit the cache");
-        assert_eq!(&warm[..], &cold[..], "regeneration diverged");
-        s.set_site_caching(true);
-        assert!(Arc::ptr_eq(&warm, &s.target_sites(3)));
     }
 
     #[test]

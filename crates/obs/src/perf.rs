@@ -1,11 +1,14 @@
 //! Process-wide performance counters for hot paths that have no
 //! [`crate::Recorder`] handle.
 //!
-//! Path selection and deployment construction run deep inside the
-//! per-measurement hot loop, below the layer where the executor threads
-//! a per-shard recorder. Routing a recorder down there would widen
-//! every signature on the establishment path for three counters, so
-//! they live here instead: monotone process-wide atomics, bumped with
+//! Path selection, the scenario memos, browser page scratch and the
+//! fault driver run deep inside the per-measurement hot loop, below the
+//! layer where the executor threads a per-shard recorder. Routing a
+//! recorder down there would widen every signature on those paths for
+//! nine counters — `path/index_pick`, `path/scan_fallback`,
+//! `deployment/rebuilds_saved`, `browser/scratch_hits`,
+//! `site/rebuilds_saved` and the four `fault/*` dispositions — so they
+//! live here instead: monotone process-wide atomics, bumped with
 //! `Relaxed` ordering (they order nothing) and *never read back by
 //! simulation logic*. They therefore cannot perturb a single result
 //! bit — the neutrality guarantee `tests/obs_neutrality.rs` proves for
@@ -15,7 +18,8 @@
 //!
 //! Consumers take a [`snapshot`] before and after a region of interest
 //! and report the [`PerfSnapshot::delta_since`]; `repro
-//! --bench-establish` is the canonical reader.
+//! --bench-establish`, `repro --bench-unit` and corpusbench's traced
+//! run read them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -44,7 +44,6 @@ pub use index::{ClassIndex, ConsensusIndex, FilterClass};
 pub use ntor::{ClientHandshake, NtorKeys, RelayIdentity};
 pub use onion::{HopCrypto, OnionStack};
 pub use path::{
-    CircuitSpec, PathConfig, PathError, PathSelector, PickMode, Role, PRIMARY_GUARDS,
-    SAMPLED_GUARDS,
+    CircuitSpec, PathConfig, PathError, PathSelector, Role, PRIMARY_GUARDS, SAMPLED_GUARDS,
 };
 pub use relay::{Relay, RelayFlags, RelayId};

@@ -4,15 +4,14 @@
 //! Appendix A.3).
 //!
 //! Picks resolve through the precomputed [`crate::index::ConsensusIndex`]
-//! ([`indexed`], the default) or the original full-scan oracle
-//! ([`mod@reference`], retained for equivalence testing and benchmarking);
-//! the two are bit-for-bit interchangeable (`tests/path_equivalence.rs`).
+//! ([`indexed`]), bit-for-bit interchangeable with a full-consensus
+//! scan; that scan is a test oracle (the workspace's `tests/support`,
+//! checked by `tests/path_equivalence.rs`).
 //! A [`PathSelector`] is built for reuse: [`PathSelector::reset`] clears
 //! guard state while keeping its buffers, so a persistent selector makes
 //! repeated channel establishment allocation-free in steady state.
 
 pub mod indexed;
-pub mod reference;
 
 use ptperf_sim::SimRng;
 
@@ -100,18 +99,6 @@ pub const SAMPLED_GUARDS: usize = 20;
 /// reachable.
 pub const PRIMARY_GUARDS: usize = 3;
 
-/// Which `weighted_pick` implementation a [`PathSelector`] dispatches to.
-/// Both produce bit-identical selections; `Reference` exists for the
-/// equivalence suite and the establish benchmark's oracle lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PickMode {
-    /// Binary search over the consensus index (the default).
-    #[default]
-    Indexed,
-    /// The original full-consensus filtered scan.
-    Reference,
-}
-
 /// Selects circuit paths for one client, with Tor's guard-spec behavior:
 /// a bandwidth-weighted *sampled set* of guards is drawn once, the first
 /// few are primaries tried in order, and the client sticks to its
@@ -154,7 +141,6 @@ pub struct PathSelector {
     /// Size of the current sample, resolved or not (0 before sampling).
     sample_len: usize,
     down: Vec<RelayId>,
-    mode: PickMode,
     scratch: PickScratch,
 }
 
@@ -173,7 +159,6 @@ impl PathSelector {
             resolved: 0,
             sample_len: 0,
             down: Vec::new(),
-            mode: PickMode::default(),
             scratch: PickScratch::new(),
         }
     }
@@ -185,17 +170,6 @@ impl PathSelector {
     pub fn reset(&mut self, config: PathConfig) {
         self.config = config;
         self.rotate_guard();
-    }
-
-    /// Switches the pick implementation (selections are identical either
-    /// way; see [`PickMode`]).
-    pub fn set_pick_mode(&mut self, mode: PickMode) {
-        self.mode = mode;
-    }
-
-    /// The pick implementation in use.
-    pub fn pick_mode(&self) -> PickMode {
-        self.mode
     }
 
     /// How many times this selector's internal buffers reallocated — an
@@ -291,13 +265,12 @@ impl PathSelector {
     /// guard is eligible the sample ends there.
     fn resolve_next(&mut self, consensus: &Consensus, next_u: &mut dyn FnMut() -> f64) {
         let j = self.resolved;
-        match dispatch_pick(
-            self.mode,
-            next_u,
+        match indexed::pick_inner(
             consensus,
             FilterClass::Guard,
             &self.guards[..j],
             &mut self.scratch,
+            next_u,
         ) {
             Some(g) => {
                 self.guards[j] = g;
@@ -320,9 +293,8 @@ impl PathSelector {
             .ok_or(PathError::NoEligibleRelay(Role::Guard))?;
         let exit = match self.config.fixed_exit {
             Some(e) => e,
-            None => dispatch_pick(
-                self.mode,
-                &mut || rng.next_f64(),
+            None => indexed::weighted_pick(
+                rng,
                 consensus,
                 FilterClass::Exit,
                 &[guard],
@@ -332,9 +304,8 @@ impl PathSelector {
         };
         let middle = match self.config.fixed_middle {
             Some(m) => m,
-            None => dispatch_pick(
-                self.mode,
-                &mut || rng.next_f64(),
+            None => indexed::weighted_pick(
+                rng,
                 consensus,
                 FilterClass::All,
                 &[guard, exit],
@@ -353,30 +324,6 @@ impl PathSelector {
 impl Default for PathSelector {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// One weighted pick in `mode`, drawing from `next_u` exactly when the
-/// mode's `weighted_pick` would draw from its RNG.
-fn dispatch_pick(
-    mode: PickMode,
-    next_u: &mut dyn FnMut() -> f64,
-    consensus: &Consensus,
-    class: FilterClass,
-    exclude: &[RelayId],
-    scratch: &mut PickScratch,
-) -> Option<RelayId> {
-    match mode {
-        PickMode::Indexed => indexed::pick_inner(consensus, class, exclude, scratch, next_u),
-        PickMode::Reference => {
-            // `reference::weighted_pick`, with the draw from `next_u`.
-            let relays = consensus.relays();
-            let total = reference::filtered_total(relays, |r| class.matches(r), exclude);
-            if total <= 0.0 {
-                return None;
-            }
-            reference::weighted_pick_with_u(next_u(), total, relays, |r| class.matches(r), exclude)
-        }
     }
 }
 
@@ -585,27 +532,5 @@ mod tests {
             sel.select(&c, &mut rng).unwrap();
         }
         assert_eq!(sel.scratch_grows(), grows, "steady-state reuse reallocated");
-    }
-
-    #[test]
-    fn pick_modes_agree_on_full_selection_sequences() {
-        for seed in 0..5u64 {
-            let c = consensus(40 + seed);
-            let mut rng_i = SimRng::new(50 + seed);
-            let mut rng_r = rng_i.clone();
-            let mut sel_i = PathSelector::new();
-            let mut sel_r = PathSelector::new();
-            sel_r.set_pick_mode(PickMode::Reference);
-            assert_eq!(sel_i.pick_mode(), PickMode::Indexed);
-            for _ in 0..20 {
-                assert_eq!(
-                    sel_i.select(&c, &mut rng_i).unwrap(),
-                    sel_r.select(&c, &mut rng_r).unwrap()
-                );
-            }
-            assert_eq!(sel_i.sampled_guards(&c), sel_r.sampled_guards(&c));
-            assert_eq!(sel_i.primary_guards(&c), sel_r.primary_guards(&c));
-            assert_eq!(rng_i, rng_r, "modes consumed different draw counts");
-        }
     }
 }

@@ -1,10 +1,39 @@
 //! Determinism guarantees: the whole stack is reproducible bit-for-bit
 //! given a scenario seed, and genuinely different across seeds.
 
-use ptperf::executor::Parallelism;
+use ptperf::executor::{run_units, Parallelism, Unit};
 use ptperf::experiments::{file_download, ttfb, website_curl, website_selenium};
 use ptperf::scenario::Scenario;
 use ptperf_transports::PtId;
+
+/// The cold-scratch lane: runs every unit alone in its own one-unit
+/// pool, which hands it a fresh `UnitScratch`, and returns the values in
+/// unit order.
+fn each_unit_alone<T: Send>(units: Vec<Unit<T>>) -> Vec<T> {
+    units
+        .into_iter()
+        .map(|u| {
+            let mut out = run_units(&Parallelism::sequential(), vec![u]).expect("no panics");
+            out.values.pop().expect("one unit, one value")
+        })
+        .collect()
+}
+
+/// The per-unit-rebuild lane: unit `i` comes from its own fresh
+/// `Scenario::baseline(seed)`, whose empty memos make it build its own
+/// deployment and site workload. The units then run in one pool at
+/// `par`, and the values come back in unit order.
+fn units_from_fresh_scenarios<T: Send>(
+    seed: u64,
+    par: &Parallelism,
+    units: impl Fn(&Scenario) -> Vec<Unit<T>>,
+) -> Vec<T> {
+    let n = units(&Scenario::baseline(seed)).len();
+    let pool = (0..n)
+        .map(|i| units(&Scenario::baseline(seed)).swap_remove(i))
+        .collect();
+    run_units(par, pool).expect("no panics").values
+}
 
 #[test]
 fn same_seed_identical_curl_results() {
@@ -162,20 +191,20 @@ fn website_corpus_is_stable_across_calls() {
 #[test]
 fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
     // The scenario's deployment memo shares one build across all units;
-    // with caching bypassed every unit rebuilds from the seed. Raw
-    // samples and rendered output must be bit-identical either way, at
-    // any worker count.
+    // taking each unit from its own fresh scenario makes every unit
+    // rebuild from the seed. Raw samples and rendered output must be
+    // bit-identical either way, at any worker count.
     let cfg = file_download::Config {
         attempts: 3,
         sizes: ptperf_web::FILE_SIZES,
     };
     let shared = Scenario::baseline(29);
-    let rebuilt = Scenario::baseline(29);
-    rebuilt.set_deployment_caching(false);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
         let (a, _) = file_download::run_with(&shared, &cfg, &par).unwrap();
-        let (b, _) = file_download::run_with(&rebuilt, &cfg, &par).unwrap();
+        let b = file_download::merge(units_from_fresh_scenarios(29, &par, |sc| {
+            file_download::units(sc, &cfg)
+        }));
         for (pt, list) in &a.attempts {
             let other = &b.attempts[pt];
             assert_eq!(list.len(), other.len(), "{pt} at {workers} workers");
@@ -195,21 +224,19 @@ fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
 
 #[test]
 fn warm_scratch_matches_cold_scratch_bit_for_bit() {
-    // PerWorker (one warm UnitScratch reused across every unit on a
-    // worker) vs PerUnit (a cold scratch per unit) must be bit-identical
+    // One warm UnitScratch reused across every unit on a worker vs a
+    // cold scratch per unit (each unit run alone) must be bit-identical
     // at 1 and 4 workers — the scratch holds buffers, never state that
     // feeds the measurement.
-    use ptperf::executor::ScratchMode;
     let cfg = website_selenium::Config {
         sites_per_list: 8,
         repeats: 1,
     };
     let scenario = Scenario::baseline(53);
+    let b = website_selenium::merge(each_unit_alone(website_selenium::units(&scenario, &cfg)));
     for workers in [1usize, 4] {
         let warm = Parallelism::new(workers);
-        let cold = Parallelism::new(workers).with_scratch(ScratchMode::PerUnit);
         let (a, _) = website_selenium::run_with(&scenario, &cfg, &warm).unwrap();
-        let (b, _) = website_selenium::run_with(&scenario, &cfg, &cold).unwrap();
         for pt in a.samples.pts() {
             let xs = a.samples.samples(pt);
             let ys = b.samples.samples(pt);
@@ -229,20 +256,20 @@ fn warm_scratch_matches_cold_scratch_bit_for_bit() {
 #[test]
 fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
     // The scenario's site-workload memo shares one Arc<[Website]> build
-    // across every unit; with caching bypassed each call regenerates the
-    // corpus. Samples must be bit-identical either way at 1 and 4
-    // workers.
+    // across every unit; taking each unit from its own fresh scenario
+    // makes every unit regenerate the corpus. Samples must be
+    // bit-identical either way at 1 and 4 workers.
     let cfg = website_curl::Config {
         sites_per_list: 10,
         repeats: 1,
     };
     let shared = Scenario::baseline(37);
-    let rebuilt = Scenario::baseline(37);
-    rebuilt.set_site_caching(false);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
         let (a, _) = website_curl::run_with(&shared, &cfg, &par).unwrap();
-        let (b, _) = website_curl::run_with(&rebuilt, &cfg, &par).unwrap();
+        let b = website_curl::merge(units_from_fresh_scenarios(37, &par, |sc| {
+            website_curl::units(sc, &cfg)
+        }));
         for pt in PtId::ALL_WITH_VANILLA {
             let xs = a.samples.samples(pt);
             let ys = b.samples.samples(pt);

@@ -1,6 +1,6 @@
 //! The executor's headline guarantee, proven end to end: a parallel
 //! campaign run is **bit-for-bit identical** to the sequential run at
-//! any worker count or chunk size, across experiment families and
+//! any worker count, across experiment families and
 //! seeds — and a panicking shard surfaces as an error without poisoning
 //! its siblings.
 
@@ -17,8 +17,8 @@ fn worker_grid() -> Vec<Parallelism> {
     vec![
         Parallelism::sequential(),
         Parallelism::new(2),
+        Parallelism::new(3),
         Parallelism::new(8),
-        Parallelism::new(8).with_chunk(3),
     ]
 }
 
@@ -131,7 +131,7 @@ fn whole_campaign_is_invariant_under_parallelism() {
     };
     let scenario = Scenario::baseline(23);
     let sequential = quick_campaign(&scenario, &Parallelism::sequential());
-    let parallel = quick_campaign(&scenario, &Parallelism::new(4).with_chunk(2));
+    let parallel = quick_campaign(&scenario, &Parallelism::new(4));
 
     for pt in PtId::ALL_WITH_VANILLA {
         assert_bits_eq(

@@ -9,72 +9,20 @@
 //! it draws.
 //!
 //! The oracle here is the eager sampler itself, written against the
-//! reference pick: `SAMPLED_GUARDS` calls of
-//! `path::reference::weighted_pick` with a growing exclude list,
-//! stopping at the first `None`. For guard classes on both sides of the
-//! deferral precondition, the suite walks a selector and the oracle in
-//! lock-step through first selections, a failover through the whole
-//! sample and back, the accessors and a guard rotation, and asserts the
-//! same sample, the same circuit and the same `SimRng` state after
-//! every call.
+//! reference full-scan pick (`support::EagerOracle`): `SAMPLED_GUARDS`
+//! calls of `support::reference::weighted_pick` with a growing exclude
+//! list, stopping at the first `None`. For guard classes on both sides
+//! of the deferral precondition, the suite walks a selector and the
+//! oracle in lock-step through first selections, a failover through the
+//! whole sample and back, the accessors and a guard rotation, and
+//! asserts the same sample, the same circuit and the same `SimRng`
+//! state after every call.
+
+mod support;
 
 use ptperf_sim::SimRng;
-use ptperf_tor::path::reference;
-use ptperf_tor::{
-    CircuitSpec, Consensus, ConsensusParams, FilterClass, PathError, PathSelector, RelayId, Role,
-    PRIMARY_GUARDS, SAMPLED_GUARDS,
-};
-
-/// The eager guard sampler with the same failover policy, over the
-/// reference pick.
-#[derive(Default)]
-struct EagerOracle {
-    sample: Vec<RelayId>,
-    down: Vec<RelayId>,
-}
-
-impl EagerOracle {
-    fn pick(
-        rng: &mut SimRng,
-        c: &Consensus,
-        class: FilterClass,
-        exclude: &[RelayId],
-    ) -> Option<RelayId> {
-        reference::weighted_pick(rng, c.relays(), |r| class.matches(r), exclude)
-    }
-
-    fn current_guard(&self) -> Option<RelayId> {
-        self.sample.iter().find(|g| !self.down.contains(g)).copied()
-    }
-
-    fn select(&mut self, c: &Consensus, rng: &mut SimRng) -> Result<CircuitSpec, PathError> {
-        if self.sample.is_empty() {
-            for _ in 0..SAMPLED_GUARDS {
-                match Self::pick(rng, c, FilterClass::Guard, &self.sample) {
-                    Some(g) => self.sample.push(g),
-                    None => break,
-                }
-            }
-        }
-        let guard = self
-            .current_guard()
-            .ok_or(PathError::NoEligibleRelay(Role::Guard))?;
-        let exit = Self::pick(rng, c, FilterClass::Exit, &[guard])
-            .ok_or(PathError::NoEligibleRelay(Role::Exit))?;
-        let middle = Self::pick(rng, c, FilterClass::All, &[guard, exit])
-            .ok_or(PathError::NoEligibleRelay(Role::Middle))?;
-        Ok(CircuitSpec {
-            guard,
-            middle,
-            exit,
-        })
-    }
-
-    fn rotate_guard(&mut self) {
-        self.sample.clear();
-        self.down.clear();
-    }
-}
+use ptperf_tor::{Consensus, ConsensusParams, FilterClass, PathSelector, RelayId, SAMPLED_GUARDS};
+use support::EagerOracle;
 
 /// A generated 120-relay consensus whose guard class (`Guard && Fast`)
 /// is every third relay: `positive` of them keep their generated
@@ -143,8 +91,7 @@ fn assert_lockstep(c: &Consensus, rseed: u64) -> usize {
     step!("first selection");
     step!("second selection");
     let sample = oracle.sample.clone();
-    let primaries = &sample[..sample.len().min(PRIMARY_GUARDS)];
-    assert_eq!(sel.primary_guards(c), primaries);
+    assert_eq!(sel.primary_guards(c), oracle.primary_guards());
 
     // Fail over through every sampled guard, resolving the sample one
     // guard at a time, until none is left.
@@ -170,10 +117,7 @@ fn assert_lockstep(c: &Consensus, rseed: u64) -> usize {
     oracle.rotate_guard();
     step!("after rotation");
     assert_eq!(sel.sampled_guards(c), &oracle.sample[..]);
-    assert_eq!(
-        sel.primary_guards(c),
-        &oracle.sample[..oracle.sample.len().min(PRIMARY_GUARDS)]
-    );
+    assert_eq!(sel.primary_guards(c), oracle.primary_guards());
     step!("after resolving the rotated sample");
     sample.len()
 }

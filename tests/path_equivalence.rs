@@ -1,5 +1,7 @@
 //! Equivalence suite: the indexed `weighted_pick` is bit-for-bit
-//! interchangeable with the retained reference oracle — identical relay
+//! interchangeable with the reference full-scan pick in
+//! `support::reference`, and a `PathSelector` walks the same samples and
+//! circuits as `support::EagerOracle` built on it — identical relay
 //! selections AND identical RNG draw counts — across generated
 //! consensuses, filter classes, exclude sets (empty, small, large,
 //! duplicated, out-of-class, out-of-range, all-excluded), degenerate
@@ -7,12 +9,14 @@
 //! fallback. The deterministic bulk test alone covers thousands of
 //! picks; the proptests add structural diversity on top.
 
+mod support;
+
 use proptest::prelude::*;
 
 use ptperf_sim::SimRng;
 use ptperf_tor::path::indexed::{self, PickScratch};
-use ptperf_tor::path::reference;
-use ptperf_tor::{Consensus, ConsensusParams, FilterClass, PathSelector, PickMode, Relay, RelayId};
+use ptperf_tor::{Consensus, ConsensusParams, FilterClass, PathSelector, RelayId};
+use support::{reference, EagerOracle};
 
 const CLASSES: [FilterClass; 3] = [FilterClass::Guard, FilterClass::Exit, FilterClass::All];
 
@@ -348,8 +352,9 @@ proptest! {
         assert_with_u_equiv(&c, class, &[first, last], u);
     }
 
-    /// Whole-selector equivalence: a PathSelector in Indexed mode walks
-    /// the same guard samples and circuits as one in Reference mode.
+    /// Whole-selector equivalence: a PathSelector walks the same guard
+    /// samples and circuits as the eager sampler over the reference
+    /// pick, with the same RNG state after every selection.
     #[test]
     fn full_selector_sequences_match(
         cseed in 1..150u64,
@@ -357,23 +362,16 @@ proptest! {
         rseed in any::<u64>(),
     ) {
         let c = gen_consensus(cseed, n);
-        let mut rng_i = SimRng::new(rseed);
-        let mut rng_r = rng_i.clone();
-        let mut sel_i = PathSelector::new();
-        let mut sel_r = PathSelector::new();
-        sel_r.set_pick_mode(PickMode::Reference);
+        let mut rng_s = SimRng::new(rseed);
+        let mut rng_o = rng_s.clone();
+        let mut sel = PathSelector::new();
+        let mut oracle = EagerOracle::default();
         for _ in 0..8 {
-            prop_assert_eq!(sel_i.select(&c, &mut rng_i), sel_r.select(&c, &mut rng_r));
+            prop_assert_eq!(sel.select(&c, &mut rng_s), oracle.select(&c, &mut rng_o));
+            prop_assert_eq!(&rng_s, &rng_o);
         }
-        prop_assert_eq!(sel_i.sampled_guards(&c), sel_r.sampled_guards(&c));
-        prop_assert_eq!(sel_i.primary_guards(&c), sel_r.primary_guards(&c));
-        prop_assert_eq!(&rng_i, &rng_r);
+        prop_assert_eq!(sel.sampled_guards(&c), &oracle.sample[..]);
+        prop_assert_eq!(sel.primary_guards(&c), oracle.primary_guards());
+        prop_assert_eq!(&rng_s, &rng_o);
     }
-}
-
-// Keep `Relay` imported for the signature of `FilterClass::matches`
-// closures above even if rustc's unused-import lint changes its mind.
-#[allow(dead_code)]
-fn _class_filter_typechecks(class: FilterClass, r: &Relay) -> bool {
-    class.matches(r)
 }
