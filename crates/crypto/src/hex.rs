@@ -1,5 +1,5 @@
-//! Hex encoding/decoding, used throughout the workspace for test vectors
-//! and for fingerprint display in the Tor substrate.
+//! Hex encoding/decoding, used for the SHA-256 test vectors and for
+//! printing digests.
 
 /// Encodes bytes as lowercase hex. Whitespace-free.
 pub fn encode(bytes: &[u8]) -> String {

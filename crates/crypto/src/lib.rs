@@ -1,37 +1,14 @@
-//! # ptperf-crypto — primitives for pluggable-transport wire protocols
+//! # ptperf-crypto — SHA-256 and hex
 //!
-//! A small, dependency-free cryptographic toolkit sufficient for the
-//! transport implementations in `ptperf-transports`:
-//!
-//! * [`mod@sha256`] — SHA-256 (FIPS 180-4);
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869);
-//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439);
-//! * [`mod@x25519`] — X25519 Diffie–Hellman (RFC 7748), used by the
-//!   obfs4-style ntor handshake;
-//! * [`ct`] — constant-time comparisons;
-//! * [`hex`] — hex encode/decode for vectors and fingerprints.
-//!
-//! Every primitive is validated against its RFC/NIST test vectors.
-//!
-//! This crate exists because the reproduction implements PT handshakes
-//! and record framing *as real protocols over real bytes* (so overhead
-//! and round-trip counts are derived, not asserted), and the approved
-//! dependency set contains no crypto crates. It is **not** hardened
-//! against side channels beyond the basics (`ct_eq`, branch-free ladder)
-//! and must not be reused outside the simulator.
+//! A small, dependency-free SHA-256 (FIPS 180-4, [`mod@sha256`]) and a
+//! hex codec ([`hex`]), validated against the NIST example vectors. The
+//! corpus benchmark uses them to digest its outputs; no simulation code
+//! depends on this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chacha20;
-pub mod ct;
 pub mod hex;
-pub mod hmac;
 pub mod sha256;
-pub mod x25519;
 
-pub use chacha20::{chacha20_xor, ChaCha20};
-pub use ct::ct_eq;
-pub use hmac::{hkdf, hkdf_expand, hkdf_extract, hmac_sha256, HmacSha256};
 pub use sha256::{sha256, Sha256};
-pub use x25519::{clamp_scalar, x25519, x25519_base, Keypair, BASEPOINT};

@@ -7,7 +7,7 @@
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
-/// Block size in bytes (relevant for HMAC).
+/// Block size in bytes.
 pub const BLOCK_LEN: usize = 64;
 
 const K: [u32; 64] = [

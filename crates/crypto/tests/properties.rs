@@ -1,12 +1,9 @@
-//! Property tests for the crypto primitives: incremental/one-shot
-//! agreement, stream-cipher laws, KDF consistency, and DH agreement on
-//! arbitrary inputs.
+//! Property tests for SHA-256 and hex: incremental/one-shot agreement
+//! and hex round trips on arbitrary inputs.
 
 use proptest::prelude::*;
 
-use ptperf_crypto::{
-    chacha20_xor, hex, hkdf, hmac_sha256, sha256, ChaCha20, HmacSha256, Keypair, Sha256,
-};
+use ptperf_crypto::{hex, sha256, Sha256};
 
 proptest! {
     /// Incremental hashing over arbitrary splits equals the one-shot.
@@ -37,80 +34,6 @@ proptest! {
             flipped[0] ^= 1;
             prop_assert_ne!(sha256(&flipped), sha256(&data));
         }
-    }
-
-    /// HMAC separates keys and messages.
-    #[test]
-    fn hmac_key_and_message_separation(
-        key in proptest::collection::vec(any::<u8>(), 1..100),
-        data in proptest::collection::vec(any::<u8>(), 0..500),
-    ) {
-        let tag = hmac_sha256(&key, &data);
-        // Incremental agrees.
-        let mut mac = HmacSha256::new(&key);
-        for chunk in data.chunks(7) {
-            mac.update(chunk);
-        }
-        prop_assert_eq!(mac.finalize(), tag);
-        // A different key gives a different tag.
-        let mut other_key = key.clone();
-        other_key[0] ^= 0xFF;
-        prop_assert_ne!(hmac_sha256(&other_key, &data), tag);
-    }
-
-    /// HKDF: a longer output extends a shorter one (prefix property).
-    #[test]
-    fn hkdf_prefix_consistency(
-        salt in proptest::collection::vec(any::<u8>(), 0..32),
-        ikm in proptest::collection::vec(any::<u8>(), 1..64),
-        info in proptest::collection::vec(any::<u8>(), 0..32),
-        short_len in 1usize..64,
-    ) {
-        let mut long = vec![0u8; 96];
-        hkdf(&salt, &ikm, &info, &mut long);
-        let mut short = vec![0u8; short_len];
-        hkdf(&salt, &ikm, &info, &mut short);
-        prop_assert_eq!(&long[..short_len], &short[..]);
-    }
-
-    /// ChaCha20 is an involution under the same (key, nonce, counter).
-    #[test]
-    fn chacha_involution(
-        key in any::<[u8; 32]>(),
-        nonce in any::<[u8; 12]>(),
-        counter in any::<u32>(),
-        data in proptest::collection::vec(any::<u8>(), 0..1000),
-    ) {
-        let mut buf = data.clone();
-        chacha20_xor(&key, &nonce, counter, &mut buf);
-        chacha20_xor(&key, &nonce, counter, &mut buf);
-        prop_assert_eq!(buf, data);
-    }
-
-    /// Streaming chunked application equals the one-shot keystream.
-    #[test]
-    fn chacha_streaming_matches(
-        key in any::<[u8; 32]>(),
-        nonce in any::<[u8; 12]>(),
-        data in proptest::collection::vec(any::<u8>(), 1..600),
-        chunk in 1usize..64,
-    ) {
-        let mut oneshot = data.clone();
-        chacha20_xor(&key, &nonce, 5, &mut oneshot);
-        let mut streamed = data.clone();
-        let mut cipher = ChaCha20::new(&key, &nonce, 5);
-        for c in streamed.chunks_mut(chunk) {
-            cipher.apply(c);
-        }
-        prop_assert_eq!(streamed, oneshot);
-    }
-
-    /// X25519: DH agreement holds for arbitrary secrets.
-    #[test]
-    fn x25519_agreement(sa in any::<[u8; 32]>(), sb in any::<[u8; 32]>()) {
-        let a = Keypair::from_secret(sa);
-        let b = Keypair::from_secret(sb);
-        prop_assert_eq!(a.diffie_hellman(&b.public), b.diffie_hellman(&a.public));
     }
 
     /// Hex encoding round-trips arbitrary bytes.

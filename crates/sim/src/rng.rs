@@ -145,14 +145,6 @@ impl SimRng {
         &items[self.below(items.len() as u64) as usize]
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// A standard normal variate (Box–Muller; one value per call).
     pub fn normal(&mut self) -> f64 {
         // Avoid ln(0) by nudging u1 away from zero.
@@ -342,16 +334,6 @@ mod tests {
             .count();
         // With alpha=1.2 the vast majority of mass sits near the lower bound.
         assert!(below_10 > 8_000, "below_10 {below_10}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::new(37);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

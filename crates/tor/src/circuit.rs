@@ -155,7 +155,7 @@ impl Circuit {
             bottleneck = bottleneck.min(via.capacity_bps);
         }
         // Discount cell framing: application goodput is wire rate divided
-        // by the framing overhead the codec actually produces.
+        // by the framing overhead of the cell layout.
         let bottleneck_bps = bottleneck / relay_payload_overhead();
 
         Circuit {

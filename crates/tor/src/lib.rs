@@ -9,10 +9,8 @@
 //! * [`path`] — bandwidth-weighted path selection, guard persistence, and
 //!   the stem/carml-style pinning controls the paper's fixed-circuit
 //!   experiments need;
-//! * [`cell`] — real 514-byte cell and RELAY-cell codecs (the framing
-//!   overhead used by the timing model is *derived* from these);
-//! * [`onion`] — per-hop key derivation and layered encryption over real
-//!   bytes (HKDF + ChaCha20);
+//! * [`cell`] — the 514-byte cell and RELAY-cell layout constants (the
+//!   framing overhead used by the timing model is *derived* from these);
 //! * [`circuit`] — circuit build timing (telescoping extends), end-to-end
 //!   RTT, bottleneck capacity, and stream timing.
 //!
@@ -27,22 +25,15 @@
 
 pub mod cell;
 pub mod circuit;
-pub mod control;
 pub mod consensus;
 pub mod index;
-pub mod ntor;
-pub mod onion;
 pub mod path;
 pub mod relay;
-pub mod socks;
 
-pub use cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_LEN, RELAY_DATA_LEN};
-pub use control::{Command as ControlCommand, Reply as ControlReply, TorController};
+pub use cell::{CELL_LEN, RELAY_DATA_LEN};
 pub use circuit::{access_capacity, Circuit, CircuitOptions, Via};
 pub use consensus::{Consensus, ConsensusParams};
 pub use index::{ClassIndex, ConsensusIndex, FilterClass};
-pub use ntor::{ClientHandshake, NtorKeys, RelayIdentity};
-pub use onion::{HopCrypto, OnionStack};
 pub use path::{
     CircuitSpec, PathConfig, PathError, PathSelector, Role, PRIMARY_GUARDS, SAMPLED_GUARDS,
 };

@@ -1,131 +1,13 @@
-//! Property tests for the Tor substrate: cell codecs, onion layering,
-//! SOCKS, the control protocol, and path-selection validity over
-//! arbitrary consensuses.
+//! Property tests for the Tor substrate: path-selection validity over
+//! arbitrary consensuses and relay capacity bounds.
 
 use proptest::prelude::*;
 
 use ptperf_sim::{LoadProfile, SimRng};
-use ptperf_tor::cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_PAYLOAD_LEN, RELAY_DATA_LEN};
 use ptperf_tor::consensus::{Consensus, ConsensusParams};
-use ptperf_tor::socks;
-use ptperf_tor::{ControlCommand, OnionStack, PathSelector};
-
-fn arb_relay_command() -> impl Strategy<Value = RelayCommand> {
-    prop::sample::select(vec![
-        RelayCommand::Begin,
-        RelayCommand::Data,
-        RelayCommand::End,
-        RelayCommand::Connected,
-        RelayCommand::Sendme,
-        RelayCommand::Extend2,
-        RelayCommand::Extended2,
-    ])
-}
+use ptperf_tor::PathSelector;
 
 proptest! {
-    /// Relay cells round-trip arbitrary payloads.
-    #[test]
-    fn relay_cell_round_trip(
-        cmd in arb_relay_command(),
-        stream in any::<u16>(),
-        data in proptest::collection::vec(any::<u8>(), 0..=RELAY_DATA_LEN),
-    ) {
-        let rc = RelayCell::new(cmd, stream, data);
-        let back = RelayCell::decode(&rc.encode()).unwrap();
-        prop_assert_eq!(&back, &rc);
-        prop_assert!(back.digest_ok());
-    }
-
-    /// Link cells round-trip arbitrary circuit ids and payload prefixes.
-    #[test]
-    fn cell_round_trip(
-        circ in any::<u32>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..=CELL_PAYLOAD_LEN),
-    ) {
-        let cell = Cell::new(circ, CellCommand::Relay, &payload);
-        prop_assert_eq!(Cell::decode(&cell.encode()).unwrap(), cell);
-    }
-
-    /// Cell decode never panics on arbitrary 514-byte input.
-    #[test]
-    fn cell_decode_total(bytes in proptest::collection::vec(any::<u8>(), 514)) {
-        let _ = Cell::decode(&bytes);
-    }
-
-    /// Onion encryption round-trips through 1–5 hops for arbitrary
-    /// secrets and payloads.
-    #[test]
-    fn onion_round_trip(
-        secrets in proptest::collection::vec(any::<[u8; 32]>(), 1..=5),
-        seed_payload in any::<[u8; 32]>(),
-    ) {
-        let mut payload = [0u8; CELL_PAYLOAD_LEN];
-        for (i, b) in payload.iter_mut().enumerate() {
-            *b = seed_payload[i % 32] ^ (i as u8);
-        }
-        let original = payload;
-        let mut client = OnionStack::new(&secrets);
-        let mut relays = OnionStack::new(&secrets);
-        client.encrypt_outbound(&mut payload);
-        for hop in 0..secrets.len() {
-            relays.peel_at(hop, &mut payload);
-        }
-        prop_assert_eq!(payload, original);
-    }
-
-    /// SOCKS CONNECT round-trips arbitrary domains and ports.
-    #[test]
-    fn socks_connect_round_trip(domain in "[a-z0-9.-]{1,64}", port in any::<u16>()) {
-        let addr = socks::SocksAddr::Domain(domain.clone());
-        let wire = socks::encode_connect(&addr, port);
-        let (back, back_port) = socks::decode_connect(&wire).unwrap();
-        prop_assert_eq!(back, addr);
-        prop_assert_eq!(back_port, port);
-    }
-
-    /// SOCKS decoders never panic on arbitrary bytes.
-    #[test]
-    fn socks_decoders_total(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = socks::decode_greeting(&bytes);
-        let _ = socks::decode_connect(&bytes);
-        let _ = socks::decode_reply(&bytes);
-    }
-
-    /// Control commands format/parse round-trip.
-    #[test]
-    fn control_round_trip(
-        pending in 0u32..100,
-        dirtiness in 0u64..1_000_000,
-        r1 in 0u32..1000,
-        r2 in 0u32..1000,
-        r3 in 0u32..1000,
-        stream in any::<u32>(),
-        circuit in any::<u32>(),
-    ) {
-        let cmds = vec![
-            ControlCommand::SetConf(vec![
-                ("MaxClientCircuitsPending".into(), pending.to_string()),
-                ("MaxCircuitDirtiness".into(), dirtiness.to_string()),
-            ]),
-            ControlCommand::ExtendCircuit(vec![
-                ptperf_tor::RelayId(r1),
-                ptperf_tor::RelayId(r2),
-                ptperf_tor::RelayId(r3),
-            ]),
-            ControlCommand::AttachStream { stream, circuit },
-            ControlCommand::CloseCircuit(circuit),
-        ];
-        for cmd in cmds {
-            prop_assert_eq!(ControlCommand::parse(&cmd.format()).unwrap(), cmd);
-        }
-    }
-
-    /// Control parser never panics on arbitrary lines.
-    #[test]
-    fn control_parser_total(line in "\\PC{0,80}") {
-        let _ = ControlCommand::parse(&line);
-    }
-
     /// Path selection over arbitrary consensus shapes always yields
     /// three distinct relays with the right flags.
     #[test]

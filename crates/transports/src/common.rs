@@ -76,19 +76,9 @@ pub struct TorChannelSpec {
 /// Builds the base channel through a Tor circuit: circuit construction
 /// time as `setup`, stream-open and request round trips, and the
 /// response-path transfer model. Transport models then add their own
-/// bootstrap, framing overhead, caps, and failure behavior.
-pub fn tor_channel(
-    dep: &Deployment,
-    opts: &AccessOptions,
-    spec: TorChannelSpec,
-    dest: Location,
-    rng: &mut SimRng,
-) -> Channel {
-    tor_channel_with(dep, opts, spec, dest, rng, &mut EstablishScratch::new())
-}
-
-/// [`tor_channel`] with caller-provided scratch: hot loops pass a
-/// persistent [`EstablishScratch`] to avoid per-establish allocation.
+/// bootstrap, framing overhead, caps, and failure behavior. `scratch` is
+/// the caller's persistent [`EstablishScratch`], so hot loops establish
+/// without per-call allocation.
 pub fn tor_channel_with(
     dep: &Deployment,
     opts: &AccessOptions,
@@ -134,7 +124,7 @@ pub fn tor_channel_with(
 
 /// Applies a multiplicative wire-framing overhead (wire bytes per payload
 /// byte, ≥ 1) to a channel's response model: the goodput shrinks by the
-/// factor the codec actually produces.
+/// factor the transport's frame layout implies.
 pub fn apply_frame_overhead(channel: &mut Channel, overhead: f64) {
     debug_assert!(overhead >= 1.0, "framing overhead must be ≥ 1, got {overhead}");
     channel.response.bottleneck_bps /= overhead;
@@ -169,7 +159,7 @@ mod tests {
     #[test]
     fn vanilla_channel_has_positive_costs() {
         let (dep, opts, mut rng) = setup();
-        let ch = tor_channel(
+        let ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -179,6 +169,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         assert!(ch.setup > SimDuration::ZERO);
         assert!(ch.stream_open > SimDuration::ZERO);
@@ -195,7 +186,7 @@ mod tests {
         // guard distribution. Check via capacity: the bridge is lightly
         // loaded, so the bottleneck rarely drops to volunteer-guard lows.
         for _ in 0..20 {
-            let ch = tor_channel(
+            let ch = tor_channel_with(
                 &dep,
                 &opts,
                 TorChannelSpec {
@@ -205,6 +196,7 @@ mod tests {
                 },
                 Location::NewYork,
                 &mut rng,
+                &mut EstablishScratch::new(),
             );
             assert!(ch.response.bottleneck_bps > 0.0);
         }
@@ -217,7 +209,7 @@ mod tests {
         opts.path.fixed_guard = Some(pinned);
         // Even with a bridge requested, the experiment's pin wins (this is
         // how the fixed-circuit experiments equalize Tor and PT paths).
-        let _ = tor_channel(
+        let _ = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -227,6 +219,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         // No assertion on internals possible here beyond not panicking;
         // the integration tests check the fixed-circuit null result.
@@ -235,7 +228,7 @@ mod tests {
     #[test]
     fn via_reduces_bottleneck_to_server_capacity() {
         let (dep, opts, mut rng) = setup();
-        let ch = tor_channel(
+        let ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -249,6 +242,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         assert!(ch.response.bottleneck_bps <= 20_000.0);
     }
@@ -256,7 +250,7 @@ mod tests {
     #[test]
     fn frame_overhead_shrinks_goodput() {
         let (dep, opts, mut rng) = setup();
-        let mut ch = tor_channel(
+        let mut ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -266,6 +260,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         let before = ch.response.bottleneck_bps;
         apply_frame_overhead(&mut ch, 1.25);
@@ -285,7 +280,14 @@ mod tests {
         let mut rng_b = SimRng::new(9);
         for i in 0..30 {
             let reused = tor_channel_with(&dep, &opts, spec, Location::NewYork, &mut rng_a, &mut scratch);
-            let fresh = tor_channel(&dep, &opts, spec, Location::NewYork, &mut rng_b);
+            let fresh = tor_channel_with(
+                &dep,
+                &opts,
+                spec,
+                Location::NewYork,
+                &mut rng_b,
+                &mut EstablishScratch::new(),
+            );
             assert_eq!(reused.setup, fresh.setup, "iteration {i}");
             assert_eq!(reused.request_rtt, fresh.request_rtt);
             assert_eq!(
@@ -315,7 +317,7 @@ mod tests {
     fn wireless_medium_propagates() {
         let (dep, mut opts, mut rng) = setup();
         opts.medium = Medium::Wireless;
-        let ch = tor_channel(
+        let ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -325,6 +327,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         assert!(ch.response.loss > 0.0);
     }

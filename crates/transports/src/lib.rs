@@ -1,15 +1,12 @@
 //! # ptperf-transports — the twelve evaluated pluggable transports
 //!
-//! One module per PT, each with two halves:
-//!
-//! * a **wire protocol** over real bytes (handshakes, framing, carrier
-//!   codecs) with unit and property tests — framing overheads used by
-//!   the performance model are *derived* from these codecs;
-//! * a **channel model** implementing [`PluggableTransport::establish`]:
-//!   it composes the transport's bootstrap cost, hop structure (§4.1),
-//!   carrier constraints (DNS response limits, IM API quotas, CDN rate
-//!   limits, volunteer-proxy churn), and the shared Tor-circuit
-//!   machinery into a [`ptperf_web::Channel`].
+//! One module per PT, each a **channel model** implementing
+//! [`PluggableTransport::establish`]: it composes the transport's
+//! bootstrap cost (round-trip counts from the protocol's spec), hop
+//! structure (§4.1), framing overhead (closed forms over the protocol's
+//! layout constants), carrier constraints (DNS response limits, IM API
+//! quotas, CDN rate limits, volunteer-proxy churn), and the shared
+//! Tor-circuit machinery into a [`ptperf_web::Channel`].
 //!
 //! | PT | category | distinguishing mechanism |
 //! |---|---|---|
@@ -65,7 +62,7 @@ pub fn transport_for(pt: PtId) -> Box<dyn PluggableTransport> {
         PtId::Conjure => Box::new(conjure::Conjure),
         PtId::Snowflake => Box::new(snowflake::Snowflake),
         PtId::Dnstt => Box::new(dnstt::Dnstt::default()),
-        PtId::Camoufler => Box::new(camoufler::Camoufler::default()),
+        PtId::Camoufler => Box::new(camoufler::Camoufler),
         PtId::WebTunnel => Box::new(webtunnel::WebTunnel),
         PtId::Cloak => Box::new(cloak::Cloak),
         PtId::Stegotorus => Box::new(stegotorus::Stegotorus),

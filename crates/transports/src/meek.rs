@@ -6,16 +6,10 @@
 //! responses; when idle, the client polls with empty `POST`s on an
 //! exponential back-off.
 //!
-//! Implemented pieces:
-//!
-//! * real HTTP/1.1 request/response building and parsing with the
-//!   `X-Session-Id` header meek uses to correlate polls;
-//! * the **poll scheduler** with meek's exponential back-off (100 ms
-//!   doubling to a 5 s cap, reset on data);
-//! * the performance model: domain-front TLS setup, per-request front
-//!   processing, the **bridge rate limit** (the public meek bridge is
-//!   rate-limited by its maintainer (paper ref. 28) — the paper's explanation for
-//!   both meek's high TTFB and its bulk-download failures).
+//! The performance model: domain-front TLS setup, per-request front
+//! processing, and the **bridge rate limit** (the public meek bridge is
+//! rate-limited by its maintainer (paper ref. 28) — the paper's
+//! explanation for both meek's high TTFB and its bulk-download failures).
 
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
@@ -23,209 +17,6 @@ use ptperf_web::Channel;
 use crate::common::{bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
-
-/// Maximum request body meek sends per POST.
-pub const MAX_BODY: usize = 65_536;
-
-/// A meek HTTP exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MeekRequest {
-    /// The fronted (inner) host — the bridge's real name.
-    pub inner_host: String,
-    /// Session identifier correlating this client's polls.
-    pub session_id: String,
-    /// Carried Tor bytes (empty for a poll).
-    pub body: Vec<u8>,
-}
-
-impl MeekRequest {
-    /// Serializes to HTTP/1.1 wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = format!(
-            "POST / HTTP/1.1\r\nHost: {}\r\nX-Session-Id: {}\r\nContent-Length: {}\r\n\r\n",
-            self.inner_host,
-            self.session_id,
-            self.body.len()
-        )
-        .into_bytes();
-        out.extend_from_slice(&self.body);
-        out
-    }
-
-    /// Parses wire bytes back into a request.
-    pub fn decode(bytes: &[u8]) -> Result<MeekRequest, HttpError> {
-        let (head, body) = split_head(bytes)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().ok_or(HttpError::Malformed)?;
-        if !request_line.starts_with("POST ") {
-            return Err(HttpError::BadMethod);
-        }
-        let mut inner_host = None;
-        let mut session_id = None;
-        let mut content_length = None;
-        for line in lines {
-            if let Some((k, v)) = line.split_once(": ") {
-                match k.to_ascii_lowercase().as_str() {
-                    "host" => inner_host = Some(v.to_string()),
-                    "x-session-id" => session_id = Some(v.to_string()),
-                    "content-length" => {
-                        content_length = Some(v.parse::<usize>().map_err(|_| HttpError::Malformed)?)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let content_length = content_length.ok_or(HttpError::Malformed)?;
-        if body.len() < content_length {
-            return Err(HttpError::Truncated);
-        }
-        Ok(MeekRequest {
-            inner_host: inner_host.ok_or(HttpError::Malformed)?,
-            session_id: session_id.ok_or(HttpError::Malformed)?,
-            body: body[..content_length].to_vec(),
-        })
-    }
-}
-
-/// Builds a meek HTTP response carrying `body` bytes of Tor data.
-pub fn encode_response(body: &[u8]) -> Vec<u8> {
-    let mut out = format!(
-        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(body);
-    out
-}
-
-/// Parses a meek HTTP response; returns the carried body.
-pub fn decode_response(bytes: &[u8]) -> Result<Vec<u8>, HttpError> {
-    let (head, body) = split_head(bytes)?;
-    let status = head.split("\r\n").next().ok_or(HttpError::Malformed)?;
-    if !status.starts_with("HTTP/1.1 200") {
-        return Err(HttpError::BadStatus);
-    }
-    let len = head
-        .split("\r\n")
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .ok_or(HttpError::Malformed)?
-        .parse::<usize>()
-        .map_err(|_| HttpError::Malformed)?;
-    if body.len() < len {
-        return Err(HttpError::Truncated);
-    }
-    Ok(body[..len].to_vec())
-}
-
-fn split_head(bytes: &[u8]) -> Result<(&str, &[u8]), HttpError> {
-    let sep = bytes
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(HttpError::Truncated)?;
-    let head = std::str::from_utf8(&bytes[..sep]).map_err(|_| HttpError::Malformed)?;
-    Ok((head, &bytes[sep + 4..]))
-}
-
-/// HTTP codec errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HttpError {
-    /// Header/body separator not found or body short.
-    Truncated,
-    /// Not parseable as the expected HTTP shape.
-    Malformed,
-    /// Request method was not POST.
-    BadMethod,
-    /// Response status was not 200.
-    BadStatus,
-}
-
-/// meek's idle-poll scheduler: starts at 100 ms, doubles per empty poll,
-/// caps at 5 s, resets when data flows.
-#[derive(Debug, Clone, Copy)]
-pub struct PollScheduler {
-    current: SimDuration,
-}
-
-impl PollScheduler {
-    /// Initial poll interval.
-    pub const MIN: SimDuration = SimDuration::from_millis(100);
-    /// Back-off ceiling.
-    pub const MAX: SimDuration = SimDuration::from_secs(5);
-
-    /// A fresh scheduler at the minimum interval.
-    pub fn new() -> PollScheduler {
-        PollScheduler { current: Self::MIN }
-    }
-
-    /// The next poll delay, advancing the back-off if the last poll was
-    /// empty.
-    pub fn next_delay(&mut self, last_had_data: bool) -> SimDuration {
-        if last_had_data {
-            self.current = Self::MIN;
-        } else {
-            self.current = (self.current * 2).min(Self::MAX);
-        }
-        self.current
-    }
-}
-
-impl Default for PollScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One downstream datum's delivery record from [`simulate_polls`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PollDelivery {
-    /// When the datum became available at the bridge.
-    pub available: SimDuration,
-    /// When the client's poll picked it up.
-    pub delivered: SimDuration,
-}
-
-impl PollDelivery {
-    /// The polling-induced delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delivered.saturating_sub(self.available)
-    }
-}
-
-/// Simulates a meek polling session: downstream data appears at the
-/// bridge at `arrivals` (sorted, session-relative); the client polls per
-/// the [`PollScheduler`] back-off; each datum is delivered by the first
-/// poll at-or-after its arrival. Returns the deliveries and how many
-/// polls the session issued before `horizon`.
-///
-/// This is the mechanism behind meek's downstream latency: data that
-/// lands while the client is deep in back-off waits up to
-/// [`PollScheduler::MAX`] before a poll fetches it.
-pub fn simulate_polls(arrivals: &[SimDuration], horizon: SimDuration) -> (Vec<PollDelivery>, u32) {
-    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals sorted");
-    let mut scheduler = PollScheduler::new();
-    let mut deliveries = Vec::with_capacity(arrivals.len());
-    let mut next_datum = 0usize;
-    let mut now = SimDuration::ZERO;
-    let mut polls = 0u32;
-    let mut last_had_data = true; // the first poll fires at MIN
-    while now <= horizon {
-        now += scheduler.next_delay(last_had_data);
-        if now > horizon {
-            break;
-        }
-        polls += 1;
-        last_had_data = false;
-        while next_datum < arrivals.len() && arrivals[next_datum] <= now {
-            deliveries.push(PollDelivery {
-                available: arrivals[next_datum],
-                delivered: now,
-            });
-            next_datum += 1;
-            last_had_data = true;
-        }
-    }
-    (deliveries, polls)
-}
 
 /// The meek transport model.
 pub struct Meek;
@@ -281,115 +72,6 @@ impl PluggableTransport for Meek {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_round_trip() {
-        let req = MeekRequest {
-            inner_host: "meek.bamsoftware.com".into(),
-            session_id: "abc123".into(),
-            body: b"tor cell bytes".to_vec(),
-        };
-        let wire = req.encode();
-        assert_eq!(MeekRequest::decode(&wire).unwrap(), req);
-    }
-
-    #[test]
-    fn empty_poll_round_trip() {
-        let req = MeekRequest {
-            inner_host: "bridge".into(),
-            session_id: "s".into(),
-            body: vec![],
-        };
-        let back = MeekRequest::decode(&req.encode()).unwrap();
-        assert!(back.body.is_empty());
-    }
-
-    #[test]
-    fn request_rejects_get() {
-        let wire = b"GET / HTTP/1.1\r\nHost: h\r\nX-Session-Id: s\r\nContent-Length: 0\r\n\r\n";
-        assert_eq!(MeekRequest::decode(wire), Err(HttpError::BadMethod));
-    }
-
-    #[test]
-    fn request_detects_short_body() {
-        let req = MeekRequest {
-            inner_host: "h".into(),
-            session_id: "s".into(),
-            body: vec![1, 2, 3, 4],
-        };
-        let mut wire = req.encode();
-        wire.truncate(wire.len() - 2);
-        assert_eq!(MeekRequest::decode(&wire), Err(HttpError::Truncated));
-    }
-
-    #[test]
-    fn response_round_trip() {
-        let wire = encode_response(b"downstream tor bytes");
-        assert_eq!(decode_response(&wire).unwrap(), b"downstream tor bytes");
-    }
-
-    #[test]
-    fn response_rejects_non_200() {
-        let wire = b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
-        assert_eq!(decode_response(wire), Err(HttpError::BadStatus));
-    }
-
-    #[test]
-    fn poll_backoff_doubles_to_cap() {
-        let mut p = PollScheduler::new();
-        let mut delays = Vec::new();
-        for _ in 0..8 {
-            delays.push(p.next_delay(false).as_millis());
-        }
-        assert_eq!(&delays[..5], &[200, 400, 800, 1600, 3200]);
-        assert_eq!(*delays.last().unwrap(), 5000);
-    }
-
-    #[test]
-    fn poll_resets_on_data() {
-        let mut p = PollScheduler::new();
-        for _ in 0..6 {
-            p.next_delay(false);
-        }
-        assert_eq!(p.next_delay(true).as_millis(), 100);
-    }
-
-    #[test]
-    fn idle_sessions_poll_rarely() {
-        // One minute with no data: back-off caps polling near 1 per 5 s.
-        let (deliveries, polls) = simulate_polls(&[], SimDuration::from_secs(60));
-        assert!(deliveries.is_empty());
-        assert!(polls >= 12, "{polls}");
-        assert!(polls <= 25, "{polls}");
-    }
-
-    #[test]
-    fn busy_sessions_poll_fast_and_deliver_quickly() {
-        // Data every 50 ms for 5 s: the scheduler stays at MIN.
-        let arrivals: Vec<SimDuration> =
-            (1..100).map(|i| SimDuration::from_millis(i * 50)).collect();
-        let (deliveries, _) = simulate_polls(&arrivals, SimDuration::from_secs(6));
-        assert_eq!(deliveries.len(), arrivals.len());
-        for d in &deliveries {
-            assert!(
-                d.delay() <= PollScheduler::MIN * 3,
-                "delay {} too large under active polling",
-                d.delay()
-            );
-        }
-    }
-
-    #[test]
-    fn data_after_an_idle_gap_waits_for_the_backoff() {
-        // One datum lands 20 s into an idle session: it waits for the
-        // next (deep back-off) poll — up to 5 s.
-        let (deliveries, _) =
-            simulate_polls(&[SimDuration::from_secs(20)], SimDuration::from_secs(30));
-        assert_eq!(deliveries.len(), 1);
-        let delay = deliveries[0].delay();
-        assert!(delay > SimDuration::from_millis(200), "delay {delay}");
-        assert!(delay <= PollScheduler::MAX, "delay {delay}");
-    }
 
     #[test]
     fn establish_is_rate_capped_and_fragile() {

@@ -7,15 +7,11 @@
 //! they leave whenever the person closes the tab — mid-transfer proxy
 //! loss is normal.
 //!
-//! Implemented pieces:
-//!
-//! * broker rendezvous message codec (offer/answer envelope with
-//!   client-poll semantics);
-//! * SCTP-like data-channel chunking (12-byte header: stream ‖ seq ‖
-//!   length, payload ≤ 1200 bytes) with reassembly;
-//! * a volunteer-proxy pool model whose wait time, proxy bandwidth, and
-//!   churn hazard all scale with the load multiplier — this single knob
-//!   replays the September-2022 Iran surge (§5.3).
+//! The model keeps the data channel's chunk layout (12-byte header:
+//! stream ‖ seq ‖ length, payload ≤ 1200 bytes) and a volunteer-proxy
+//! pool whose NAT matchmaking, wait time, proxy bandwidth, and churn
+//! hazard all scale with the load multiplier — this single knob replays
+//! the September-2022 Iran surge (§5.3).
 
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
@@ -29,92 +25,6 @@ pub const MAX_CHUNK: usize = 1200;
 
 /// Chunk header: 4-byte stream id, 4-byte sequence, 4-byte length.
 pub const CHUNK_HEADER: usize = 12;
-
-/// A broker rendezvous message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrokerMessage {
-    /// Client → broker: an SDP offer blob.
-    Offer(Vec<u8>),
-    /// Broker → client: a volunteer's SDP answer.
-    Answer(Vec<u8>),
-    /// Broker → client: no proxies available right now, retry.
-    Unavailable,
-}
-
-impl BrokerMessage {
-    /// Serializes with a 1-byte tag + 4-byte length.
-    pub fn encode(&self) -> Vec<u8> {
-        let (tag, body): (u8, &[u8]) = match self {
-            BrokerMessage::Offer(b) => (1, b),
-            BrokerMessage::Answer(b) => (2, b),
-            BrokerMessage::Unavailable => (3, &[]),
-        };
-        let mut out = vec![tag];
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(body);
-        out
-    }
-
-    /// Parses a broker message.
-    pub fn decode(bytes: &[u8]) -> Option<BrokerMessage> {
-        if bytes.len() < 5 {
-            return None;
-        }
-        let len = u32::from_be_bytes(bytes[1..5].try_into().unwrap()) as usize;
-        if bytes.len() != 5 + len {
-            return None;
-        }
-        let body = bytes[5..].to_vec();
-        match bytes[0] {
-            1 => Some(BrokerMessage::Offer(body)),
-            2 => Some(BrokerMessage::Answer(body)),
-            3 if len == 0 => Some(BrokerMessage::Unavailable),
-            _ => None,
-        }
-    }
-}
-
-/// Splits a payload into data-channel chunks.
-pub fn chunk(stream: u32, payload: &[u8]) -> Vec<Vec<u8>> {
-    payload
-        .chunks(MAX_CHUNK)
-        .enumerate()
-        .map(|(seq, part)| {
-            let mut c = Vec::with_capacity(CHUNK_HEADER + part.len());
-            c.extend_from_slice(&stream.to_be_bytes());
-            c.extend_from_slice(&(seq as u32).to_be_bytes());
-            c.extend_from_slice(&(part.len() as u32).to_be_bytes());
-            c.extend_from_slice(part);
-            c
-        })
-        .collect()
-}
-
-/// Reassembles chunks (possibly out of order) back into the payload.
-/// Returns `None` if a sequence gap remains or a chunk is malformed.
-pub fn reassemble(stream: u32, chunks: &[Vec<u8>]) -> Option<Vec<u8>> {
-    let mut parts: Vec<Option<&[u8]>> = vec![None; chunks.len()];
-    for c in chunks {
-        if c.len() < CHUNK_HEADER {
-            return None;
-        }
-        let s = u32::from_be_bytes(c[0..4].try_into().unwrap());
-        if s != stream {
-            return None;
-        }
-        let seq = u32::from_be_bytes(c[4..8].try_into().unwrap()) as usize;
-        let len = u32::from_be_bytes(c[8..12].try_into().unwrap()) as usize;
-        if c.len() != CHUNK_HEADER + len || seq >= parts.len() {
-            return None;
-        }
-        parts[seq] = Some(&c[CHUNK_HEADER..]);
-    }
-    let mut out = Vec::new();
-    for p in parts {
-        out.extend_from_slice(p?);
-    }
-    Some(out)
-}
 
 /// NAT types, as snowflake's broker classifies endpoints for
 /// matchmaking: a client behind a symmetric NAT can only use a proxy
@@ -307,52 +217,6 @@ impl PluggableTransport for Snowflake {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn broker_messages_round_trip() {
-        for msg in [
-            BrokerMessage::Offer(b"sdp-offer-blob".to_vec()),
-            BrokerMessage::Answer(b"sdp-answer".to_vec()),
-            BrokerMessage::Unavailable,
-        ] {
-            assert_eq!(BrokerMessage::decode(&msg.encode()).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn broker_rejects_garbage() {
-        assert!(BrokerMessage::decode(&[]).is_none());
-        assert!(BrokerMessage::decode(&[9, 0, 0, 0, 0]).is_none());
-        let mut bad_len = BrokerMessage::Offer(b"x".to_vec()).encode();
-        bad_len.pop();
-        assert!(BrokerMessage::decode(&bad_len).is_none());
-    }
-
-    #[test]
-    fn chunks_round_trip_in_order() {
-        let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-        let chunks = chunk(3, &payload);
-        assert_eq!(chunks.len(), 5);
-        assert_eq!(reassemble(3, &chunks).unwrap(), payload);
-    }
-
-    #[test]
-    fn chunks_reassemble_out_of_order() {
-        let payload = vec![7u8; 3 * MAX_CHUNK];
-        let mut chunks = chunk(1, &payload);
-        chunks.swap(0, 2);
-        assert_eq!(reassemble(1, &chunks).unwrap(), payload);
-    }
-
-    #[test]
-    fn reassembly_detects_gaps_and_wrong_stream() {
-        let payload = vec![7u8; 3 * MAX_CHUNK];
-        let mut chunks = chunk(1, &payload);
-        chunks.remove(1);
-        assert!(reassemble(1, &chunks).is_none());
-        let chunks = chunk(1, &payload);
-        assert!(reassemble(2, &chunks).is_none());
-    }
 
     #[test]
     fn surge_shrinks_proxy_bandwidth() {

@@ -24,7 +24,6 @@ pub mod channel;
 pub mod curl;
 pub mod faults;
 pub mod filedl;
-pub mod http;
 pub mod streaming;
 pub mod website;
 
@@ -32,7 +31,6 @@ pub use browser::{load_page_pooled, BrowserError, PageLoad, PageScratch, BROWSER
 pub use channel::{Channel, Outcome};
 pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};
 pub use faults::{FaultSession, FaultStats};
-pub use http::{Request as HttpRequest, Response as HttpResponse};
 pub use filedl::{download, download_faulted, Download, ReliabilityCounts, FILE_SIZES, FILE_TIMEOUT};
 pub use streaming::{play, MediaStream, StreamingSession};
 pub use website::{SiteCategory, SiteList, Website};

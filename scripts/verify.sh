@@ -5,6 +5,10 @@
 #   3. clippy with warnings promoted to errors, then strict rustdoc
 #      (every intra-doc link must resolve: a doc that names a deleted
 #      item fails here)
+#   3b. corpusbench type-check: `cargo check` of the corpus benchmark
+#      against the working tree, so a change to a crate it links breaks
+#      verify rather than the benchmark run; its Cargo.lock is restored
+#      byte-identical afterwards
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
 #      per-PT phase histograms, finite quantiles) and the Chrome-trace
@@ -61,6 +65,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+echo "== corpusbench type-check (against the working tree) =="
+# The benchmark is a workspace of its own that links the program crates by
+# path. Checking it may rewrite its lock file; put the committed one back
+# on any exit so the checkout stays clean.
+bench_lock=corpusbench/Cargo.lock
+bench_lock_copy="$(mktemp)"
+cp "$bench_lock" "$bench_lock_copy"
+trap 'cp "$bench_lock_copy" "$bench_lock"; rm -f "$bench_lock_copy"' EXIT
+cargo check -q --manifest-path corpusbench/Cargo.toml
+cp "$bench_lock_copy" "$bench_lock"
+rm -f "$bench_lock_copy"
+trap - EXIT
 
 echo "== repro observability smoke (fig6) =="
 obs_dir="$(mktemp -d)"
